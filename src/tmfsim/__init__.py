@@ -36,7 +36,6 @@ from .model import (
     Tape,
     ValidatedMachine,
     ValidationError,
-    apply_action,
     validate_machine,
 )
 from .parser import DefinitionError, load_machine
@@ -68,7 +67,6 @@ __all__ = [
     "UndefinedRule",
     "ValidatedMachine",
     "ValidationError",
-    "apply_action",
     "compile_machine",
     "decide",
     "emit_pi",

@@ -33,9 +33,6 @@ class AlwaysPassive:
     def choose(self, step_index: int) -> str:
         return PASSIVE
 
-    def describe(self) -> str:
-        return "passive"
-
 
 class ScriptPolicy:
     """Explicit schedule: step index -> active|aggressive, passive elsewhere."""
@@ -51,9 +48,6 @@ class ScriptPolicy:
     def choose(self, step_index: int) -> str:
         return self.schedule.get(step_index, PASSIVE)
 
-    def describe(self) -> str:
-        return f"script({len(self.schedule)} entries)"
-
 
 class RandomPolicy:
     """Seeded random choice: active with p_fault, aggressive with p_failure.
@@ -67,7 +61,6 @@ class RandomPolicy:
             raise ValueError("need p_fault, p_failure >= 0 and p_fault + p_failure <= 1")
         self.p_fault = p_fault
         self.p_failure = p_failure
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def choose(self, step_index: int) -> str:
@@ -77,9 +70,6 @@ class RandomPolicy:
         if draw < self.p_fault + self.p_failure:
             return AGGRESSIVE
         return PASSIVE
-
-    def describe(self) -> str:
-        return f"random(p_fault={self.p_fault},p_failure={self.p_failure},seed={self.seed})"
 
 
 DaemonPolicy = AlwaysPassive | ScriptPolicy | RandomPolicy

@@ -73,8 +73,6 @@ class Snapshot:
     """
 
     resume: str
-    ideal_state: str
-    ideal_head: int
     ideal_steps: int
 
 
@@ -95,7 +93,6 @@ class Configuration:
 
     __slots__ = (
         "compiled", "policy", "mask", "tapes", "control",
-        "apparatus", "user_component",
         "ideal_state", "ideal_head", "ideal_halted", "ideal_steps", "replay_debt",
         "committed", "step_index",
         "faults_injected", "failures_injected", "recoveries", "checkpoints_committed",
@@ -108,8 +105,6 @@ class Configuration:
         self.mask = mask
         self.tapes = tapes
         self.control = control
-        self.apparatus = "normal"
-        self.user_component = "tracking"
         self.ideal_state = compiled.base.initial
         self.ideal_head = 1
         self.ideal_halted = compiled.base.initial == compiled.base.halting
@@ -156,8 +151,7 @@ def init_configuration(compiled: CompiledMachine, word: tuple[str, ...],
         BACKUP_SYNCHRO: Tape(empty, (PLUS,), head=0),
     }
     control = StageControl(stage=3, micro_pc=0, resume=machine.initial)
-    committed = Snapshot(resume=machine.initial, ideal_state=machine.initial,
-                         ideal_head=1, ideal_steps=0)
+    committed = Snapshot(resume=machine.initial, ideal_steps=0)
     return Configuration(
         compiled=compiled,
         policy=policy if policy is not None else AlwaysPassive(),
@@ -188,7 +182,8 @@ def _advance_ideal(cfg: Configuration) -> None:
 
 
 def _enter_recovery(cfg: Configuration) -> StageControl:
-    """Route control to the recovery stage and open the replay debt."""
+    """Route control to the recovery stage at the committed state and open the
+    replay debt. Every entry into stage 5 goes through here."""
     cfg.recoveries += 1
     cfg.replay_debt = cfg.ideal_steps - cfg.committed.ideal_steps
     return StageControl(stage=5, micro_pc=0, resume=cfg.committed.resume)
@@ -221,15 +216,11 @@ def step(cfg: Configuration, with_digests: bool = False
     records: list[TraceRecord]
 
     if choice == AGGRESSIVE:
-        # Failure and repair collapse into one step: the apparatus breaks,
-        # the repair actor stabilizes it, and control restarts in recovery.
+        # Failure and repair collapse into one step: three records under one
+        # step index, then control restarts in recovery.
         cfg.failures_injected += 1
-        cfg.apparatus = "emergency"
         rec_fail = record("failure", "failure", before)
-        cfg.user_component = "stabilizing"
         rec_stab = record("repair", "stabilize", before)
-        cfg.apparatus = "normal"
-        cfg.user_component = "tracking"
         cfg.control = _enter_recovery(cfg)
         rec_restore = record("repair", "restore", cfg.control.render())
         records = [rec_fail, rec_stab, rec_restore]
@@ -277,15 +268,10 @@ def step(cfg: Configuration, with_digests: bool = False
     else:
         assert isinstance(cfg.control, StageControl)
         old_stage = cfg.control.stage
-        result = stage_step(cfg.compiled, cfg.control, cfg.tapes, cfg.committed.resume)
+        result = stage_step(cfg.compiled, cfg.control, cfg.tapes)
         action = f"micro:{result.op.render()}"
         if result.event == "commit":
-            cfg.committed = Snapshot(
-                resume=cfg.control.resume,
-                ideal_state=cfg.ideal_state,
-                ideal_head=cfg.ideal_head,
-                ideal_steps=cfg.ideal_steps,
-            )
+            cfg.committed = Snapshot(resume=cfg.control.resume, ideal_steps=cfg.ideal_steps)
             cfg.checkpoints_committed += 1
             action = "commit"
             events.append("commit")
@@ -293,14 +279,10 @@ def step(cfg: Configuration, with_digests: bool = False
             events.append("stage2-marked")
         elif result.event == "verified":
             events.append(f"verified-{old_stage}")
-        if result.event == "shutdown":
-            cfg.control = ShutdownControl()
-        else:
-            assert result.control is not None
-            cfg.control = result.control
-            if (isinstance(cfg.control, StageControl) and cfg.control.stage == 5
-                    and old_stage != 5):
-                cfg.control = _enter_recovery(cfg)
+        cfg.control = result.control
+        if (isinstance(cfg.control, StageControl) and cfg.control.stage == 5
+                and old_stage != 5):
+            cfg.control = _enter_recovery(cfg)
         records = [record("program", action, cfg.control.render())]
 
     cfg.step_index += 1

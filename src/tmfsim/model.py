@@ -17,10 +17,8 @@ RESERVED_TOKENS = (MARKER, ARROW)
 
 MOVES = ("L", "R", "N")
 
-# Daemon / apparatus / repair-actor component states.
+# Daemon choices.
 PASSIVE, ACTIVE, AGGRESSIVE = "passive", "active", "aggressive"
-NORMAL, EMERGENCY = "normal", "emergency"
-TRACKING, STABILIZING = "tracking", "stabilizing"
 
 
 class JamError(Exception):
@@ -56,9 +54,6 @@ class Alphabet:
 
     def full(self) -> tuple[str, ...]:
         return (MARKER, self.empty) + self.input + self.internal
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.full()
 
 
 @dataclass(frozen=True)
@@ -133,10 +128,6 @@ class ValidatedMachine:
     description: str | None
     delta_map: dict[tuple[str, str], Rule] = field(repr=False, compare=False, default_factory=dict)
     gamma_map: dict[tuple[str, str], Rule] = field(repr=False, compare=False, default_factory=dict)
-
-    @property
-    def checkpoint_rules(self) -> tuple[Rule, ...]:
-        return tuple(r for r in self.delta if r.checkpoint)
 
 
 def validate_machine(raw: BasicMachine) -> ValidatedMachine:
@@ -245,16 +236,6 @@ class Tape:
         self.cells: list[str] = [MARKER, *content]
         self.head = head
 
-    @classmethod
-    def raw(cls, empty: str, cells: list[str], head: int) -> "Tape":
-        tape = cls(empty)
-        tape.cells = cells
-        tape.head = head
-        return tape
-
-    def clone(self) -> "Tape":
-        return Tape.raw(self.empty, list(self.cells), self.head)
-
     @property
     def allocated(self) -> int:
         return len(self.cells)
@@ -291,9 +272,6 @@ class Tape:
             out.append(sym)
         return tuple(out)
 
-    def count(self, symbol: str) -> int:
-        return self.cells.count(symbol)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tape):
             return NotImplemented
@@ -301,13 +279,6 @@ class Tape:
 
     def __repr__(self) -> str:
         return f"Tape({' '.join(self.cells)} @{self.head})"
-
-
-def apply_action(tape: Tape, write: str, move: str) -> Tape:
-    """Pure form of one tape action: returns an updated copy, input untouched."""
-    out = tape.clone()
-    out.apply(write, move)
-    return out
 
 
 def tapes_equal_to_terminator(a: Tape, b: Tape, stop: str) -> bool:
@@ -354,18 +325,3 @@ class StageControl:
 class ShutdownControl:
     def render(self) -> str:
         return "shutdown"
-
-
-ProgramControl = UserControl | StageControl | ShutdownControl
-
-
-def parse_control(text: str) -> ProgramControl:
-    if text == "shutdown":
-        return ShutdownControl()
-    kind, _, rest = text.partition(":")
-    if kind == "user":
-        return UserControl(rest)
-    if kind == "stage":
-        stage, pc, resume = rest.split("/", 2)
-        return StageControl(int(stage), int(pc), resume)
-    raise ValueError(f"unknown control encoding {text!r}")

@@ -19,7 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import JamError, MARKER, PLUS, Rule, StageControl, Tape, UserControl, ValidatedMachine
+from .model import (
+    JamError,
+    MARKER,
+    PLUS,
+    ShutdownControl,
+    StageControl,
+    Tape,
+    UserControl,
+    ValidatedMachine,
+)
 
 MASTER, SYNCHRO, BACKUP, BACKUP_SYNCHRO, USER = (
     "master", "synchro", "backup", "backup_synchro", "user")
@@ -70,8 +79,6 @@ class ScanCopy:
 
 @dataclass(frozen=True)
 class SeekPlus:
-    on_found: int | str = NEXT
-
     def render(self) -> str:
         return "seek_plus"
 
@@ -84,9 +91,7 @@ class MarkPlus:
 
 @dataclass(frozen=True)
 class EnterUser:
-    # The state to resume is symbolic: it is read from the stage control.
-    resume: None = None
-
+    # The state to resume is read from the stage control.
     def render(self) -> str:
         return "enter_user"
 
@@ -112,11 +117,10 @@ class StageProgram:
 class CompiledMachine:
     base: ValidatedMachine
     stage_programs: dict[int, StageProgram]
-    checkpoint_targets: dict[Rule, str]
 
 
 def compile_machine(machine: ValidatedMachine) -> CompiledMachine:
-    """Generate the stage programs and the checkpoint resume table.
+    """Generate the stage programs for a machine.
 
     Branch wiring: #2 equal->#3 / differ->#5; #3 -> #4; #4 backup differ->#3,
     position differ->#3, both equal -> resume user computation; #5 -> #6;
@@ -167,48 +171,46 @@ def compile_machine(machine: ValidatedMachine) -> CompiledMachine:
             EnterShutdown(),
         )),
     }
-    targets = {rule: rule.to_state for rule in machine.delta if rule.checkpoint}
-    return CompiledMachine(base=machine, stage_programs=programs, checkpoint_targets=targets)
+    return CompiledMachine(base=machine, stage_programs=programs)
 
 
 @dataclass(frozen=True)
 class StageStep:
     """Outcome of one stage micro-step.
 
-    control: the follow-up program control ("shutdown" encoded by the
-    executor via EnterShutdown's event). op: the micro-op that ran. event:
-    None or one of "marked", "commit", "verified", "shutdown".
+    control: the follow-up program control. op: the micro-op that ran.
+    event: None or one of "marked", "commit", "verified".
     """
 
-    control: StageControl | UserControl | None
+    control: StageControl | UserControl | ShutdownControl
     op: MicroOp
     event: str | None = None
 
 
-def _goto(target: int | str, control: StageControl, committed_resume: str) -> StageControl:
+def _goto(target: int | str, control: StageControl) -> StageControl:
     if target == NEXT:
         return replace(control, micro_pc=control.micro_pc + 1)
     assert isinstance(target, int)
-    resume = committed_resume if target == 5 else control.resume
-    return StageControl(stage=target, micro_pc=0, resume=resume)
+    return StageControl(stage=target, micro_pc=0, resume=control.resume)
 
 
 def _stop_symbol(stop: str, empty: str) -> str:
     return PLUS if stop == STOP_PLUS else empty
 
 
-def stage_step(compiled: CompiledMachine, control: StageControl, tapes: dict[str, Tape],
-               committed_resume: str) -> StageStep:
+def stage_step(compiled: CompiledMachine, control: StageControl,
+               tapes: dict[str, Tape]) -> StageStep:
     """Execute one cell-granular micro-step of the current stage program.
 
     Each call moves every head it touches by at most one cell, so one call
     corresponds to one machine step. Branches and completions consume the
-    step on which they are observed.
+    step on which they are observed. A branch into recovery (stage 5) keeps
+    the current resume state; the executor replaces it with the committed one.
     """
     program = compiled.stage_programs[control.stage]
     if control.micro_pc >= len(program.ops):
         assert program.done is not None
-        nxt = _goto(program.done, control, committed_resume)
+        nxt = _goto(program.done, control)
         return StageStep(control=nxt, op=program.ops[-1], event=None)
 
     op = program.ops[control.micro_pc]
@@ -216,7 +218,7 @@ def stage_step(compiled: CompiledMachine, control: StageControl, tapes: dict[str
 
     if isinstance(op, MarkPlus):
         tapes[SYNCHRO].write(PLUS)
-        return StageStep(_goto(NEXT, control, committed_resume), op, event="marked")
+        return StageStep(_goto(NEXT, control), op, event="marked")
 
     if isinstance(op, Rewind):
         for name in op.tapes:
@@ -224,7 +226,7 @@ def stage_step(compiled: CompiledMachine, control: StageControl, tapes: dict[str
             if tape.read() != MARKER:
                 tape.move("L")
         if all(tapes[n].read() == MARKER for n in op.tapes):
-            return StageStep(_goto(NEXT, control, committed_resume), op)
+            return StageStep(_goto(NEXT, control), op)
         return StageStep(control, op)
 
     if isinstance(op, ScanCompare):
@@ -232,14 +234,14 @@ def stage_step(compiled: CompiledMachine, control: StageControl, tapes: dict[str
         stop = _stop_symbol(op.stop, empty)
         sym_a, sym_b = a.read(), b.read()
         if sym_a != sym_b:
-            return StageStep(_goto(op.on_diff, control, committed_resume), op)
+            return StageStep(_goto(op.on_diff, control), op)
         if sym_a == stop:
             event = "commit" if (control.stage == 4 and op.stop == STOP_PLUS) else None
-            return StageStep(_goto(op.on_equal, control, committed_resume), op, event)
+            return StageStep(_goto(op.on_equal, control), op, event)
         if a.head >= a.allocated and b.head >= b.allocated:
             # Uniform filler from here on: the scan can never distinguish the
             # tapes again, but no terminator was seen either, so no commit.
-            return StageStep(_goto(op.on_equal, control, committed_resume), op)
+            return StageStep(_goto(op.on_equal, control), op)
         a.move("R")
         b.move("R")
         return StageStep(control, op)
@@ -250,7 +252,7 @@ def stage_step(compiled: CompiledMachine, control: StageControl, tapes: dict[str
         sym = src.read()
         dst.write(sym)
         if sym == stop or src.head >= src.allocated:
-            return StageStep(_goto(NEXT, control, committed_resume), op)
+            return StageStep(_goto(NEXT, control), op)
         src.move("R")
         dst.move("R")
         return StageStep(control, op)
@@ -258,7 +260,7 @@ def stage_step(compiled: CompiledMachine, control: StageControl, tapes: dict[str
     if isinstance(op, SeekPlus):
         synchro, master = tapes[SYNCHRO], tapes[MASTER]
         if synchro.read() == PLUS:
-            return StageStep(_goto(op.on_found, control, committed_resume), op)
+            return StageStep(_goto(NEXT, control), op)
         if synchro.head >= synchro.allocated:
             raise PlusNotFound(f"no '+' on the position tape (stage {control.stage})")
         master.move("R")
@@ -269,23 +271,7 @@ def stage_step(compiled: CompiledMachine, control: StageControl, tapes: dict[str
         return StageStep(UserControl(control.resume), op, event="verified")
 
     assert isinstance(op, EnterShutdown)
-    return StageStep(control=None, op=op, event="shutdown")
-
-
-def erase_resume(programs: dict[int, StageProgram]) -> dict[int, StageProgram]:
-    """Normalize programs for machine-independence comparisons.
-
-    The resume slot is already symbolic, so this is the identity on current
-    programs; kept explicit so structural comparisons state their intent.
-    """
-    return {
-        stage: StageProgram(
-            ops=tuple(replace(op, resume=None) if isinstance(op, EnterUser) else op
-                      for op in prog.ops),
-            done=prog.done,
-        )
-        for stage, prog in programs.items()
-    }
+    return StageStep(ShutdownControl(), op)
 
 
 def _rule_rows(machine: ValidatedMachine) -> list[str]:

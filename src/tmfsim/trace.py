@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .model import ProgramControl, parse_control
 from .stages import TAPE_ORDER
 
 
@@ -43,12 +42,6 @@ class TraceRecord:
         if self.digests is not None:
             fields.append("digests=" + ",".join(self.digests))
         return "\t".join(fields)
-
-    def control_before(self) -> ProgramControl:
-        return parse_control(self.before)
-
-    def control_after(self) -> ProgramControl:
-        return parse_control(self.after)
 
 
 def render_trace(records: list[TraceRecord]) -> str:

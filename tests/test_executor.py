@@ -130,8 +130,23 @@ class TestStep:
         assert [r.action for r in recs] == ["failure", "stabilize", "restore"]
         assert len({r.step for r in recs}) == 1
         assert cfg.control == StageControl(5, 0, "q0")
-        assert cfg.apparatus == "normal" and cfg.user_component == "tracking"
         assert cfg.failures_injected == 1 and cfg.recoveries == 1
+
+    def test_detected_fault_enters_recovery_at_the_committed_state(self, unary):
+        compiled, word = unary
+        # Zero the last 1: the next rule, q0 b -> qf *, opens a check that
+        # would resume qf, while the last commit resumes q0. The check fails.
+        _, records = run(init_configuration(compiled, word, AlwaysPassive()))
+        k = [r.step for r in records if r.before == "user:q0"][-2]
+        cfg = init_configuration(compiled, word, ScriptPolicy({k: "active"}))
+        records = step_until(cfg, lambda c: isinstance(c.control, StageControl)
+                             and c.control.stage == 5)
+        entry = records[-1]
+        assert entry.before.startswith("stage:2/") and entry.before.endswith("/qf")
+        assert cfg.committed.resume == "q0"
+        assert cfg.control == StageControl(5, 0, cfg.committed.resume)
+        assert entry.after == f"stage:5/0/{cfg.committed.resume}"
+        assert cfg.faults_injected == 1 and cfg.recoveries == 1
 
     def test_masked_failure_is_recorded_and_neutralized(self, unary):
         compiled, word = unary
@@ -161,6 +176,17 @@ class TestRun:
         assert result.faults_injected == result.failures_injected == result.recoveries == 0
         assert result.checkpoints_committed == 4  # opening pass + 2 walk cells + append
         assert records[-1].after == "shutdown"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="known defect: a user rule that reads cell 0 erases the "
+                              "synchro tape's marker, and a later recovery rewind runs "
+                              "off the tape (README, Limitations)")
+    def test_failure_after_a_cell_zero_read_recovers(self, succ):
+        compiled, _ = succ
+        cfg = init_configuration(compiled, ("1", "1", "1"), ScriptPolicy({190: "aggressive"}))
+        result, _ = run(cfg)
+        assert result.outcome == "shutdown", result.jam_reason
+        assert result.final_master_word == ("1", "0", "0", "0")
 
     def test_step_limit(self, unary):
         compiled, word = unary

@@ -9,7 +9,6 @@ from tmfsim.model import (
     Rule,
     Tape,
     ValidationError,
-    apply_action,
     tapes_equal_to_terminator,
     validate_machine,
 )
@@ -31,7 +30,7 @@ class TestValidation:
     def test_minimal_appender_is_valid(self):
         machine = validate_machine(make_machine(APPEND_RULES))
         assert machine.delta_map[("q0", "1")].to_state == "q0"
-        assert machine.checkpoint_rules == ()
+        assert not any(r.checkpoint for r in machine.delta)
 
     def test_duplicate_delta_rule(self):
         dup = APPEND_RULES + (Rule("q0", "1", "qf", "1", "N"),)
@@ -92,20 +91,19 @@ class TestValidation:
 class TestTape:
     def test_apply_action_write_and_move_right(self):
         tape = Tape("b", ("1", "0"), head=1)
-        out = apply_action(tape, "0", "R")
-        assert out.cells == ["!", "0", "0"]
-        assert out.head == 2
-        assert tape.cells == ["!", "1", "0"]  # input untouched
+        tape.apply("0", "R")
+        assert tape.cells == ["!", "0", "0"]
+        assert tape.head == 2
 
     def test_identity_action_on_marker_cell(self):
         tape = Tape("b", ("1",), head=0)
-        out = apply_action(tape, "!", "N")
-        assert out.cells == tape.cells and out.head == 0
+        tape.apply("!", "N")
+        assert tape == Tape("b", ("1",), head=0)
 
     def test_move_left_from_cell_zero(self):
         tape = Tape("b", ("1",), head=0)
         with pytest.raises(BoundaryViolation):
-            apply_action(tape, "!", "L")
+            tape.apply("!", "L")
 
     def test_grows_with_empty_symbols_on_demand(self):
         tape = Tape("b", (), head=3)
@@ -133,16 +131,18 @@ moves = st.sampled_from(["L", "R", "N"])
        head=st.integers(min_value=0, max_value=9))
 def test_apply_action_frame_property(content, write, move, head):
     """Only the cell under the head may change."""
-    tape = Tape("b", content, head=min(head, len(content) + 1))
+    start = min(head, len(content) + 1)
+    tape = Tape("b", content, head=start)
+    reference = Tape("b", content, head=start)
     try:
-        out = apply_action(tape, write, move)
+        tape.apply(write, move)
     except BoundaryViolation:
-        assert tape.head == 0 and move == "L"
+        assert start == 0 and move == "L"
         return
-    for index in range(max(len(tape.cells), len(out.cells))):
-        before = tape.cells[index] if index < len(tape.cells) else "b"
-        after = out.cells[index] if index < len(out.cells) else "b"
-        if index != tape.head:
+    for index in range(max(len(reference.cells), len(tape.cells))):
+        before = reference.cells[index] if index < len(reference.cells) else "b"
+        after = tape.cells[index] if index < len(tape.cells) else "b"
+        if index != start:
             assert before == after
 
 

@@ -16,7 +16,6 @@ from tmfsim.stages import (
     USER,
     compile_machine,
     emit_pi,
-    erase_resume,
     stage_step,
 )
 
@@ -42,14 +41,14 @@ def tape_set(empty="b", master=(), user=(), synchro=(), backup=(), backup_synchr
     }
 
 
-def drive(compiled, stage, tapes, resume="q0", committed="q0", limit=10_000):
+def drive(compiled, stage, tapes, resume="q0", limit=10_000):
     """Run stage micro-steps until control leaves the stage family."""
     control = StageControl(stage, 0, resume)
     path = []
     for _ in range(limit):
-        result = stage_step(compiled, control, tapes, committed)
+        result = stage_step(compiled, control, tapes)
         path.append(result)
-        if result.event == "shutdown" or not isinstance(result.control, StageControl):
+        if not isinstance(result.control, StageControl):
             return result, path
         control = result.control
         if control.stage != stage:
@@ -64,15 +63,8 @@ class TestCompile:
 
     def test_no_checkpoints_still_compiles_summary_stage(self):
         compiled = compile_machine(small_machine())
-        assert compiled.checkpoint_targets == {}
+        assert not any(r.checkpoint for r in compiled.base.delta)
         assert any(isinstance(op, EnterShutdown) for op in compiled.stage_programs[7].ops)
-
-    def test_checkpoint_targets_map_to_rule_to_state(self):
-        machine = small_machine(checkpoints={("q0", "1")})
-        compiled = compile_machine(machine)
-        (rule, target), = compiled.checkpoint_targets.items()
-        assert rule.key() == ("q0", "1")
-        assert target == "q0"
 
     def test_branch_wiring(self):
         programs = compile_machine(small_machine()).stage_programs
@@ -100,8 +92,6 @@ class TestCompile:
             for op in program.ops:
                 if isinstance(op, ScanCompare):
                     targets += [op.on_equal, op.on_diff]
-                elif isinstance(op, SeekPlus):
-                    targets.append(op.on_found)
             for target in targets:
                 assert target == NEXT or target in programs
             # a stage must not run off its end without a continuation
@@ -130,7 +120,7 @@ class TestStageStep:
         control = StageControl(3, 0, "q0")
         # run just the master->backup rewind+copy (first two ops)
         for _ in range(40):
-            result = stage_step(compiled, control, tapes, "q0")
+            result = stage_step(compiled, control, tapes)
             control = result.control
             if control.micro_pc >= 2:
                 break
@@ -139,7 +129,7 @@ class TestStageStep:
         tapes[MASTER].head = tapes[BACKUP].head = 3
         control = StageControl(4, 0, "q0")
         for _ in range(40):
-            result = stage_step(compiled, control, tapes, "q0")
+            result = stage_step(compiled, control, tapes)
             assert isinstance(result.control, StageControl)
             control = result.control
             if control.micro_pc == 2:  # past the master/backup compare
@@ -153,7 +143,7 @@ class TestStageStep:
         tapes[SYNCHRO].head = 0
         control = StageControl(4, 5, "q0")  # SeekPlus op
         for _ in range(10):
-            result = stage_step(compiled, control, tapes, "q0")
+            result = stage_step(compiled, control, tapes)
             if not isinstance(result.control, StageControl) or result.control.micro_pc != 5:
                 break
             control = result.control
@@ -168,22 +158,16 @@ class TestStageStep:
         control = StageControl(4, 5, "q0")
         with pytest.raises(PlusNotFound):
             for _ in range(10):
-                result = stage_step(compiled, control, tapes, "q0")
+                result = stage_step(compiled, control, tapes)
                 control = result.control
 
     def test_mark_plus_writes_at_current_cell(self):
         compiled = compile_machine(small_machine())
         tapes = tape_set(synchro=("b", "b"))
         tapes[SYNCHRO].head = 2
-        result = stage_step(compiled, StageControl(2, 0, "q0"), tapes, "q0")
+        result = stage_step(compiled, StageControl(2, 0, "q0"), tapes)
         assert result.event == "marked"
         assert tapes[SYNCHRO].cells == ["!", "b", "+"]
-
-    def test_recovery_branch_uses_committed_resume(self):
-        compiled = compile_machine(small_machine())
-        tapes = tape_set(master=("1",), user=("0",))
-        result, _ = drive(compiled, 2, tapes, resume="qf", committed="q0")
-        assert result.control == StageControl(5, 0, "q0")
 
     def test_backup_copy_carries_the_position_mark(self):
         compiled = compile_machine(small_machine())
@@ -230,8 +214,7 @@ class TestEmitPi:
 
 
 def test_stage_programs_are_machine_independent(compiled_corpus):
-    programs = [erase_resume(compiled.stage_programs)
-                for compiled, _ in compiled_corpus.values()]
+    programs = [compiled.stage_programs for compiled, _ in compiled_corpus.values()]
     for other in programs[1:]:
         assert other == programs[0]
 
@@ -248,14 +231,14 @@ def test_copy_then_compare_always_equal(src, dst):
     tapes = tape_set(master=tuple(src), backup=tuple(dst))
     control = StageControl(3, 0, "q0")
     for _ in range(4 * (len(src) + len(dst)) + 40):
-        result = stage_step(compiled, control, tapes, "q0")
+        result = stage_step(compiled, control, tapes)
         control = result.control
         if control.micro_pc >= 2:
             break
     tapes[MASTER].head = tapes[BACKUP].head = 0
     control = StageControl(4, 1, "q0")  # the master/backup compare
     for _ in range(4 * (len(src) + len(dst)) + 40):
-        result = stage_step(compiled, control, tapes, "q0")
+        result = stage_step(compiled, control, tapes)
         assert isinstance(result.control, StageControl)
         control = result.control
         if (control.stage, control.micro_pc) != (4, 1):
@@ -272,7 +255,7 @@ def test_rewind_is_idempotent(heads):
     def rewind_to_completion():
         control = StageControl(2, 1, "q0")  # the rewind op of the check stage
         for _ in range(100):
-            result = stage_step(compiled, control, tapes, "q0")
+            result = stage_step(compiled, control, tapes)
             control = result.control
             if control.micro_pc != 1:
                 return
