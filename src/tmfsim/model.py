@@ -227,14 +227,19 @@ class Tape:
     Reading past the allocated region yields the empty symbol without
     allocating; writing allocates. `allocated` exposes the written extent so
     scans over uniformly-filled tapes can detect exhaustion.
+
+    Cells change only through `write()`: `digest` caches the trace digest of
+    `cells` (filled by `trace.digest_tapes`), and `write()` clears it. Code
+    that edits or replaces `cells` directly must reset `digest` to None.
     """
 
-    __slots__ = ("cells", "head", "empty")
+    __slots__ = ("cells", "head", "empty", "digest")
 
     def __init__(self, empty: str, content: tuple[str, ...] | list[str] = (), head: int = 1):
         self.empty = empty
         self.cells: list[str] = [MARKER, *content]
         self.head = head
+        self.digest: str | None = None
 
     @property
     def allocated(self) -> int:
@@ -249,6 +254,7 @@ class Tape:
         if self.head >= len(self.cells):
             self.cells.extend([self.empty] * (self.head + 1 - len(self.cells)))
         self.cells[self.head] = symbol
+        self.digest = None
 
     def move(self, direction: str) -> None:
         if direction == "R":

@@ -35,7 +35,7 @@ class TraceRecord:
             f"before={self.before}",
             f"after={self.after}",
             f"action={self.action}",
-            "heads=" + ",".join(str(h) for h in self.heads),
+            "heads=" + ",".join(map(str, self.heads)),
         ]
         if self.masked:
             fields.append("masked=1")
@@ -61,14 +61,16 @@ def parse_trace(text: str) -> list[TraceRecord]:
             fields[key] = value
         try:
             stage: int | str = fields["stage"]
-            if isinstance(stage, str) and stage.isdigit():
+            if stage.isdigit():
                 stage = int(stage)
+            heads = tuple(map(int, fields["heads"].split(",")))
+            if len(heads) != 5:
+                raise ValueError(f"expected 5 heads, got {len(heads)}")
             digests = None
             if "digests" in fields:
-                parts = tuple(fields["digests"].split(","))
-                if len(parts) != 5:
-                    raise ValueError("expected 5 digests")
-                digests = parts
+                digests = tuple(fields["digests"].split(","))
+                if len(digests) != 5:
+                    raise ValueError(f"expected 5 digests, got {len(digests)}")
             records.append(TraceRecord(
                 step=int(fields["step"]),
                 daemon=fields["daemon"],
@@ -77,12 +79,14 @@ def parse_trace(text: str) -> list[TraceRecord]:
                 before=fields["before"],
                 after=fields["after"],
                 action=fields["action"],
-                heads=tuple(int(h) for h in fields["heads"].split(",")),  # type: ignore[arg-type]
+                heads=heads,  # type: ignore[arg-type]
                 masked=fields.get("masked") == "1",
                 digests=digests,  # type: ignore[arg-type]
             ))
         except KeyError as exc:
             raise ValueError(f"line {number}: missing field {exc.args[0]}") from None
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
     return records
 
 
@@ -91,7 +95,16 @@ def tape_digest(cells: list[str]) -> str:
 
 
 def digest_tapes(tapes) -> tuple[str, str, str, str, str]:
-    return tuple(tape_digest(tapes[name].cells) for name in TAPE_ORDER)  # type: ignore[return-value]
+    """The five tape digests in TAPE_ORDER, rehashing only tapes written
+    since their digest was last taken (`Tape.write` clears the cache)."""
+    digests = []
+    for name in TAPE_ORDER:
+        tape = tapes[name]
+        digest = tape.digest
+        if digest is None:
+            digest = tape.digest = tape_digest(tape.cells)
+        digests.append(digest)
+    return tuple(digests)  # type: ignore[return-value]
 
 
 def summarize(records: list[TraceRecord]) -> list[TraceRecord]:

@@ -12,6 +12,8 @@ from tmfsim.model import (
     tapes_equal_to_terminator,
     validate_machine,
 )
+from tmfsim.stages import TAPE_ORDER
+from tmfsim.trace import digest_tapes, tape_digest
 
 
 def make_machine(delta, gamma=(), states=("q0", "qf"), initial="q0", halting="qf",
@@ -110,6 +112,18 @@ class TestTape:
         assert tape.read() == "b"
         tape.write("1")
         assert tape.cells == ["!", "b", "b", "1"]
+
+    def test_write_clears_the_cached_digest(self):
+        tape = Tape("b", ("1", "0"), head=1)
+        tapes = dict.fromkeys(TAPE_ORDER, tape)
+        tape.write("0")
+        first = digest_tapes(tapes)[0]
+        assert first == tape_digest(tape.cells)
+        tape.move("R")
+        tape.write("1")
+        second = digest_tapes(tapes)[0]
+        assert second != first
+        assert second == tape_digest(tape.cells)
 
     def test_word_stops_at_first_empty(self):
         tape = Tape("b", ("1", "0", "b", "1"), head=1)

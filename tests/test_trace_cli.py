@@ -6,11 +6,23 @@ import sys
 import pytest
 
 from tmfsim.cli import main
-from tmfsim.daemon import AlwaysPassive, ScriptPolicy
-from tmfsim.executor import init_configuration, run
-from tmfsim.trace import TraceRecord, parse_trace, render_trace, summarize
+from tmfsim.daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy
+from tmfsim.executor import init_configuration, run, step
+from tmfsim.model import JamError, ShutdownControl
+from tmfsim.stages import TAPE_ORDER
+from tmfsim.trace import (
+    TraceRecord,
+    digest_tapes,
+    parse_trace,
+    render_trace,
+    summarize,
+    tape_digest,
+)
 
-from conftest import CORPUS, corpus_meta
+from conftest import CORPUS, MACHINE_NAMES, corpus_meta
+
+GOOD_LINE = ("step=1\tdaemon=passive\tphase=program\tstage=1\tbefore=user:q0"
+             "\tafter=user:q0\taction=normal\theads=1,1,0,0,1")
 
 
 class TestTraceFormat:
@@ -37,6 +49,33 @@ class TestTraceFormat:
             parse_trace("step=1\tnonsense\n")
         with pytest.raises(ValueError, match="missing field"):
             parse_trace("step=1\tdaemon=passive\n")
+        assert len(parse_trace(GOOD_LINE)) == 1
+        for bad, complaint in (
+                (GOOD_LINE.replace("step=1", "step=x"), "invalid literal"),
+                (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=1,a,0,0,1"), "invalid literal"),
+                (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=1,2"), "expected 5 heads"),
+                (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=1,1,0,0,1,1"), "expected 5 heads"),
+                (GOOD_LINE + "\tdigests=aa,bb", "expected 5 digests")):
+            with pytest.raises(ValueError, match=f"^line 2: {complaint}"):
+                parse_trace(GOOD_LINE + "\n" + bad + "\n")
+
+    @pytest.mark.parametrize("allow", [False, True], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("name", MACHINE_NAMES)
+    def test_cached_digests_match_fresh_digests(self, compiled_corpus, name, allow):
+        """The digest cache is refreshed by every write: after each step, and
+        in the step's last record, the digests equal a fresh hash of the cells."""
+        compiled, word = compiled_corpus[name]
+        for seed in range(10):
+            cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, seed),
+                                     MaskConfig(allow_failure_in_critical=allow))
+            while not isinstance(cfg.control, ShutdownControl) and cfg.step_index < 2_000:
+                try:
+                    records, _ = step(cfg, with_digests=True)
+                except JamError:
+                    break
+                fresh = tuple(tape_digest(cfg.tapes[n].cells) for n in TAPE_ORDER)
+                assert records[-1].digests == fresh
+                assert digest_tapes(cfg.tapes) == fresh
 
     def test_summary_keeps_the_notable_records(self, unary):
         compiled, word = unary
