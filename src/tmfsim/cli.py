@@ -99,7 +99,10 @@ def _make_policy(args: argparse.Namespace):
     if args.daemon == "passive":
         return AlwaysPassive()
     if args.daemon == "random":
-        return RandomPolicy(args.p_fault, args.p_failure, args.seed)
+        try:
+            return RandomPolicy(args.p_fault, args.p_failure, args.seed)
+        except ValueError as exc:
+            raise DefinitionError(str(exc)) from None
     if not args.daemon_script:
         raise DefinitionError("--daemon script requires --daemon-script <path>")
     try:

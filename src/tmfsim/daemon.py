@@ -57,7 +57,7 @@ class RandomPolicy:
     """
 
     def __init__(self, p_fault: float, p_failure: float, seed: int):
-        if p_fault < 0 or p_failure < 0 or p_fault + p_failure > 1:
+        if not (p_fault >= 0 and p_failure >= 0 and p_fault + p_failure <= 1):
             raise ValueError("need p_fault, p_failure >= 0 and p_fault + p_failure <= 1")
         self.p_fault = p_fault
         self.p_failure = p_failure

@@ -189,21 +189,20 @@ def _enter_recovery(cfg: Configuration) -> StageControl:
     return StageControl(stage=5, micro_pc=0, resume=cfg.committed.resume)
 
 
-def step(cfg: Configuration, with_digests: bool = False
-         ) -> tuple[list[TraceRecord], list[str]]:
-    """Execute one two-tact step. Returns (trace records, monitor events).
+def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
+    """Execute one two-tact step and return its trace records.
 
     A failure step emits three records (failure, stabilize, restore) under
-    one step index; every other step emits one record.
+    one step index; every other step emits one record. The records are the
+    only account of what the step did: checkpoint entries, marks, commits
+    and verifications are named by their `action`.
     """
     assert not isinstance(cfg.control, ShutdownControl), "machine already shut down"
     machine = cfg.compiled.base
 
     choice, masked = decide(cfg.policy, cfg.step_index, cfg.in_critical_section(), cfg.mask)
     before = cfg.control.render()
-    stage_label: int | str = (cfg.control.stage
-                              if isinstance(cfg.control, StageControl) else 1)
-    events: list[str] = []
+    stage_label = cfg.control.stage if isinstance(cfg.control, StageControl) else 1
 
     def record(phase: str, action: str, after: str) -> TraceRecord:
         return TraceRecord(
@@ -260,42 +259,33 @@ def step(cfg: Configuration, with_digests: bool = False
                 cfg.control = StageControl(stage=2, micro_pc=0, resume=rule.to_state)
                 if action == "normal":
                     action = "checkpoint-enter"
-                events.append("stage2-entry")
             else:
                 cfg.control = UserControl(rule.to_state)
             records = [record("program", action, cfg.control.render())]
 
     else:
         assert isinstance(cfg.control, StageControl)
-        old_stage = cfg.control.stage
         result = stage_step(cfg.compiled, cfg.control, cfg.tapes)
-        action = f"micro:{result.op.render()}"
-        if result.event == "commit":
+        if result.action == "commit":
             cfg.committed = Snapshot(resume=cfg.control.resume, ideal_steps=cfg.ideal_steps)
             cfg.checkpoints_committed += 1
-            action = "commit"
-            events.append("commit")
-        elif result.event == "marked":
-            events.append("stage2-marked")
-        elif result.event == "verified":
-            events.append(f"verified-{old_stage}")
         cfg.control = result.control
         if (isinstance(cfg.control, StageControl) and cfg.control.stage == 5
-                and old_stage != 5):
+                and stage_label != 5):
             cfg.control = _enter_recovery(cfg)
-        records = [record("program", action, cfg.control.render())]
+        records = [record("program", result.action, cfg.control.render())]
 
     cfg.step_index += 1
-    return records, events
+    return records
 
 
 def run(cfg: Configuration, max_steps: int = DEFAULT_MAX_STEPS, monitor=None,
         with_digests: bool = False) -> tuple[RunResult, list[TraceRecord]]:
     """Iterate steps until shutdown, a jam, or the step budget runs out.
 
-    `monitor`, when given, is called as monitor(event, cfg) after each step
-    that produced a notable event: "stage2-entry", "stage2-marked", "commit",
-    "verified-4", "verified-6".
+    `monitor`, when given, is called as monitor(records, cfg) once after
+    each completed step, with that step's trace records; the run's notable
+    events are the record actions README "Trace format" lists.
     """
     records: list[TraceRecord] = []
     jam_reason: str | None = None
@@ -307,15 +297,14 @@ def run(cfg: Configuration, max_steps: int = DEFAULT_MAX_STEPS, monitor=None,
             outcome = "step-limit"
             break
         try:
-            recs, events = step(cfg, with_digests=with_digests)
+            recs = step(cfg, with_digests=with_digests)
         except JamError as exc:
             outcome = "jammed"
             jam_reason = f"{type(exc).__name__}: {exc}"
             break
         records.extend(recs)
         if monitor is not None:
-            for event in events:
-                monitor(event, cfg)
+            monitor(recs, cfg)
     result = RunResult(
         outcome=outcome,
         final_master_word=cfg.master_word(),

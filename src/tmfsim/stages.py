@@ -178,13 +178,13 @@ def compile_machine(machine: ValidatedMachine) -> CompiledMachine:
 class StageStep:
     """Outcome of one stage micro-step.
 
-    control: the follow-up program control. op: the micro-op that ran.
-    event: None or one of "marked", "commit", "verified".
+    control: the follow-up program control. action: the step's trace action,
+    "commit" when the stage-4 position compare reaches its "+", otherwise
+    "micro:<op>" for the micro-op that ran.
     """
 
     control: StageControl | UserControl | ShutdownControl
-    op: MicroOp
-    event: str | None = None
+    action: str
 
 
 def _goto(target: int | str, control: StageControl) -> StageControl:
@@ -210,15 +210,15 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
     program = compiled.stage_programs[control.stage]
     if control.micro_pc >= len(program.ops):
         assert program.done is not None
-        nxt = _goto(program.done, control)
-        return StageStep(control=nxt, op=program.ops[-1], event=None)
+        return StageStep(_goto(program.done, control), f"micro:{program.ops[-1].render()}")
 
     op = program.ops[control.micro_pc]
+    action = f"micro:{op.render()}"
     empty = compiled.base.alphabet.empty
 
     if isinstance(op, MarkPlus):
         tapes[SYNCHRO].write(PLUS)
-        return StageStep(_goto(NEXT, control), op, event="marked")
+        return StageStep(_goto(NEXT, control), action)
 
     if isinstance(op, Rewind):
         for name in op.tapes:
@@ -226,25 +226,26 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
             if tape.read() != MARKER:
                 tape.move("L")
         if all(tapes[n].read() == MARKER for n in op.tapes):
-            return StageStep(_goto(NEXT, control), op)
-        return StageStep(control, op)
+            return StageStep(_goto(NEXT, control), action)
+        return StageStep(control, action)
 
     if isinstance(op, ScanCompare):
         a, b = tapes[op.tape_a], tapes[op.tape_b]
         stop = _stop_symbol(op.stop, empty)
         sym_a, sym_b = a.read(), b.read()
         if sym_a != sym_b:
-            return StageStep(_goto(op.on_diff, control), op)
+            return StageStep(_goto(op.on_diff, control), action)
         if sym_a == stop:
-            event = "commit" if (control.stage == 4 and op.stop == STOP_PLUS) else None
-            return StageStep(_goto(op.on_equal, control), op, event)
+            if control.stage == 4 and op.stop == STOP_PLUS:
+                action = "commit"
+            return StageStep(_goto(op.on_equal, control), action)
         if a.head >= a.allocated and b.head >= b.allocated:
             # Uniform filler from here on: the scan can never distinguish the
             # tapes again, but no terminator was seen either, so no commit.
-            return StageStep(_goto(op.on_equal, control), op)
+            return StageStep(_goto(op.on_equal, control), action)
         a.move("R")
         b.move("R")
-        return StageStep(control, op)
+        return StageStep(control, action)
 
     if isinstance(op, ScanCopy):
         src, dst = tapes[op.src], tapes[op.dst]
@@ -252,26 +253,26 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
         sym = src.read()
         dst.write(sym)
         if sym == stop or src.head >= src.allocated:
-            return StageStep(_goto(NEXT, control), op)
+            return StageStep(_goto(NEXT, control), action)
         src.move("R")
         dst.move("R")
-        return StageStep(control, op)
+        return StageStep(control, action)
 
     if isinstance(op, SeekPlus):
         synchro, master = tapes[SYNCHRO], tapes[MASTER]
         if synchro.read() == PLUS:
-            return StageStep(_goto(NEXT, control), op)
+            return StageStep(_goto(NEXT, control), action)
         if synchro.head >= synchro.allocated:
             raise PlusNotFound(f"no '+' on the position tape (stage {control.stage})")
         master.move("R")
         synchro.move("R")
-        return StageStep(control, op)
+        return StageStep(control, action)
 
     if isinstance(op, EnterUser):
-        return StageStep(UserControl(control.resume), op, event="verified")
+        return StageStep(UserControl(control.resume), action)
 
     assert isinstance(op, EnterShutdown)
-    return StageStep(ShutdownControl(), op)
+    return StageStep(ShutdownControl(), action)
 
 
 def _rule_rows(machine: ValidatedMachine) -> list[str]:

@@ -18,7 +18,7 @@ class TraceRecord:
     step: int
     daemon: str
     phase: str          # program | failure | repair
-    stage: int | str    # 1..7 while computing or in a stage, "shutdown" after
+    stage: int          # 1 while computing, 2..7 inside a stage
     before: str         # rendered program control
     after: str
     action: str
@@ -60,9 +60,6 @@ def parse_trace(text: str) -> list[TraceRecord]:
                 raise ValueError(f"line {number}: field {chunk!r} is not key=value")
             fields[key] = value
         try:
-            stage: int | str = fields["stage"]
-            if stage.isdigit():
-                stage = int(stage)
             heads = tuple(map(int, fields["heads"].split(",")))
             if len(heads) != 5:
                 raise ValueError(f"expected 5 heads, got {len(heads)}")
@@ -75,7 +72,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
                 step=int(fields["step"]),
                 daemon=fields["daemon"],
                 phase=fields["phase"],
-                stage=stage,
+                stage=int(fields["stage"]),
                 before=fields["before"],
                 after=fields["after"],
                 action=fields["action"],

@@ -17,6 +17,23 @@ def corpus_meta(name: str) -> str:
     return str(CORPUS / f"{name}.meta")
 
 
+def step_events(records) -> list[str]:
+    """The checkpoint-protocol events of one step, named from the actions of
+    its trace records: checkpoint entry, position mark, commit, and the
+    verification that hands control back to the user at stage 4 or 6."""
+    events = []
+    for record in records:
+        if record.action == "checkpoint-enter":
+            events.append("stage2-entry")
+        elif record.action == "micro:mark_plus":
+            events.append("stage2-marked")
+        elif record.action == "commit":
+            events.append("commit")
+        elif record.action == "micro:enter_user":
+            events.append(f"verified-{record.stage}")
+    return events
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """name -> (validated machine, input word from the corpus word file)."""

@@ -21,6 +21,8 @@ from tmfsim.model import PLUS, tapes_equal_to_terminator
 from tmfsim.stages import BACKUP, BACKUP_SYNCHRO, MASTER, SYNCHRO
 from tmfsim.trace import render_trace
 
+from conftest import step_events
+
 ORACLE_MACHINES = ("unary", "succ", "palin")
 SWEEP_MACHINES = ("unary", "succ")
 
@@ -34,13 +36,18 @@ WORDS = {
 
 
 class InvariantMonitor:
-    """Checks the checkpoint protocol at every notable event of a run."""
+    """Checks the checkpoint protocol at every notable event of a run, as
+    named by the actions of each step's trace records."""
 
     def __init__(self, compiled):
         self.empty = compiled.base.alphabet.empty
         self.counts = Counter()
 
-    def __call__(self, event, cfg):
+    def __call__(self, records, cfg):
+        for event in step_events(records):
+            self.check(event, cfg)
+
+    def check(self, event, cfg):
         self.counts[event] += 1
         synchro = cfg.tapes[SYNCHRO]
         if event == "stage2-entry":

@@ -47,6 +47,10 @@ def test_random_probabilities_validated():
         RandomPolicy(0.8, 0.3, seed=1)
     with pytest.raises(ValueError):
         RandomPolicy(-0.1, 0.0, seed=1)
+    with pytest.raises(ValueError):
+        RandomPolicy(float("nan"), 0.0, seed=1)
+    with pytest.raises(ValueError):
+        RandomPolicy(0.0, float("nan"), seed=1)
 
 
 def test_random_reproducibility():

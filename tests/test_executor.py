@@ -24,12 +24,13 @@ from tmfsim.model import (
 from tmfsim.stages import BACKUP, BACKUP_SYNCHRO, MASTER, SYNCHRO, USER, compile_machine
 from tmfsim.trace import render_trace
 
+from conftest import MACHINE_NAMES, step_events
+
 
 def step_until(cfg, predicate, limit=50_000):
     records = []
     while not predicate(cfg):
-        recs, _ = step(cfg)
-        records.extend(recs)
+        records.extend(step(cfg))
         assert cfg.step_index < limit, "predicate never satisfied"
     return records
 
@@ -90,7 +91,7 @@ class TestStep:
         compiled, _ = unary
         cfg = init_configuration(compiled, ("1", "1"))
         step_until(cfg, in_user_control)
-        recs, _ = step(cfg)
+        recs = step(cfg)
         assert cfg.tapes[MASTER].head == 2
         assert cfg.ideal_head == 2 and cfg.ideal_state == "q0"
         assert cfg.tapes[MASTER].word() == cfg.tapes[USER].word()
@@ -125,7 +126,7 @@ class TestStep:
         k = first_user_step(compiled, word)
         cfg = init_configuration(compiled, word, ScriptPolicy({k: "aggressive"}))
         step_until(cfg, lambda c: c.step_index == k)
-        recs, _ = step(cfg)
+        recs = step(cfg)
         assert [r.phase for r in recs] == ["failure", "repair", "repair"]
         assert [r.action for r in recs] == ["failure", "stabilize", "restore"]
         assert len({r.step for r in recs}) == 1
@@ -152,7 +153,7 @@ class TestStep:
         compiled, word = unary
         # step 0 sits inside the opening backup pass: critical section
         cfg = init_configuration(compiled, word, ScriptPolicy({0: "aggressive"}))
-        recs, _ = step(cfg)
+        recs = step(cfg)
         assert recs[0].masked
         assert recs[0].daemon == "passive"
         assert cfg.failures_injected == 0
@@ -161,7 +162,7 @@ class TestStep:
         compiled, word = unary
         cfg = init_configuration(compiled, word, AlwaysPassive())
         step_until(cfg, lambda c: in_user_control(c) and c.control.state == "qf")
-        recs, _ = step(cfg)
+        recs = step(cfg)
         assert cfg.control.stage == 7
         assert recs[0].action == "normal"
 
@@ -233,15 +234,15 @@ class TestRun:
         empty = compiled.base.alphabet.empty
         seen = []
 
-        def monitor(event, c):
-            if event == "verified-6":
+        def monitor(records, c):
+            if "verified-6" in step_events(records):
                 master, backup = c.tapes[MASTER], c.tapes[BACKUP]
                 synchro, backup_synchro = c.tapes[SYNCHRO], c.tapes[BACKUP_SYNCHRO]
                 assert tapes_equal_to_terminator(master, backup, empty)
                 assert tapes_equal_to_terminator(synchro, backup_synchro, PLUS)
                 assert synchro.read() == PLUS
                 assert master.head == synchro.head
-                seen.append(event)
+                seen.append(records)
 
         result, _ = run(cfg, monitor=monitor)
         assert result.outcome == "shutdown"
@@ -251,17 +252,33 @@ class TestRun:
         compiled, word = succ
         counts = {"stage2-entry": 0, "stage2-marked": 0}
 
-        def monitor(event, c):
-            if event == "stage2-entry":
-                assert c.tapes[SYNCHRO].cells.count(PLUS) == 0
-                counts[event] += 1
-            elif event == "stage2-marked":
-                assert c.tapes[SYNCHRO].cells.count(PLUS) == 1
-                counts[event] += 1
+        def monitor(records, c):
+            for event in step_events(records):
+                if event == "stage2-entry":
+                    assert c.tapes[SYNCHRO].cells.count(PLUS) == 0
+                    counts[event] += 1
+                elif event == "stage2-marked":
+                    assert c.tapes[SYNCHRO].cells.count(PLUS) == 1
+                    counts[event] += 1
 
         result, _ = run(init_configuration(compiled, word, AlwaysPassive()), monitor=monitor)
         assert result.outcome == "shutdown"
         assert counts["stage2-entry"] == counts["stage2-marked"] == 3
+
+    @pytest.mark.parametrize("name", MACHINE_NAMES)
+    def test_monitor_sees_each_step_once_with_its_records(self, compiled_corpus, name):
+        """run(monitor=f) calls f(records, cfg) once per completed step; the
+        record lists it passes, concatenated, are the records run returns."""
+        compiled, word = compiled_corpus[name]
+        runs = [(AlwaysPassive(), 200_000)]
+        runs += [(RandomPolicy(0.05, 0.01, seed), 2_000) for seed in range(5)]
+        for policy, max_steps in runs:
+            calls = []
+            cfg = init_configuration(compiled, word, policy)
+            result, records = run(cfg, max_steps=max_steps,
+                                  monitor=lambda recs, c: calls.append(recs))
+            assert [r for recs in calls for r in recs] == records
+            assert len(calls) == result.steps_used
 
     def test_master_and_position_heads_stay_synchronized(self, succ):
         compiled, word = succ

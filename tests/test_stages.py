@@ -166,7 +166,7 @@ class TestStageStep:
         tapes = tape_set(synchro=("b", "b"))
         tapes[SYNCHRO].head = 2
         result = stage_step(compiled, StageControl(2, 0, "q0"), tapes)
-        assert result.event == "marked"
+        assert result.action == "micro:mark_plus"
         assert tapes[SYNCHRO].cells == ["!", "b", "+"]
 
     def test_backup_copy_carries_the_position_mark(self):

@@ -55,6 +55,7 @@ class TestTraceFormat:
                 (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=1,a,0,0,1"), "invalid literal"),
                 (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=1,2"), "expected 5 heads"),
                 (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=1,1,0,0,1,1"), "expected 5 heads"),
+                (GOOD_LINE.replace("stage=1", "stage=x"), "invalid literal"),
                 (GOOD_LINE + "\tdigests=aa,bb", "expected 5 digests")):
             with pytest.raises(ValueError, match=f"^line 2: {complaint}"):
                 parse_trace(GOOD_LINE + "\n" + bad + "\n")
@@ -70,7 +71,7 @@ class TestTraceFormat:
                                      MaskConfig(allow_failure_in_critical=allow))
             while not isinstance(cfg.control, ShutdownControl) and cfg.step_index < 2_000:
                 try:
-                    records, _ = step(cfg, with_digests=True)
+                    records = step(cfg, with_digests=True)
                 except JamError:
                     break
                 fresh = tuple(tape_digest(cfg.tapes[n].cells) for n in TAPE_ORDER)
@@ -139,6 +140,13 @@ class TestCliRun:
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("flag, value", [("--p-fault", "2"), ("--p-failure", "nan")])
+    def test_run_random_daemon_rejects_bad_probability(self, capsys, flag, value):
+        code, _, err = run_cli(["run", "-m", corpus_meta("unary"), "--daemon", "random",
+                                flag, value], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
 
     def test_trace_to_file_round_trips(self, tmp_path, capsys):
         out_path = tmp_path / "trace.txt"
