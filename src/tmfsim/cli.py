@@ -72,10 +72,19 @@ def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
                      help="re-run once per step index with a single failure injected there")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits with EXIT_ERROR on a usage error: argparse's own code, 2, is
+    EXIT_STEP_LIMIT here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="tmfsim",
-                                  description="Turing machine simulator with faults, "
-                                              "failures and checkpoint recovery")
+    top = _ArgumentParser(prog="tmfsim",
+                          description="Turing machine simulator with faults, "
+                                      "failures and checkpoint recovery")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     cmd = sub.add_parser("run", help="simulate the five-tape machine")
@@ -93,6 +102,30 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(cmd)
     cmd.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     return top
+
+
+def _flag_conflict(args: argparse.Namespace) -> str | None:
+    """Why the flags of a `run` do not go together, or None if they do. A
+    sweep runs its own single-event schedules untraced, and `--trace off`
+    writes nothing, so flags they would ignore are refused."""
+    if args.sweep_fault_step and args.sweep_failure_step:
+        return "--sweep-fault-step and --sweep-failure-step cannot be combined"
+    if args.sweep_fault_step or args.sweep_failure_step:
+        ignored = [flag for flag, given in (
+            ("--daemon", args.daemon != "passive"),
+            ("--p-fault", args.p_fault != 0),
+            ("--p-failure", args.p_failure != 0),
+            ("--seed", args.seed != 0),
+            ("--daemon-script", args.daemon_script is not None),
+            ("--trace", args.trace != "off"),
+            ("--trace-out", args.trace_out is not None),
+            ("--digests", args.digests)) if given]
+        if ignored:
+            sweep = "--sweep-fault-step" if args.sweep_fault_step else "--sweep-failure-step"
+            return f"{sweep} does not take {', '.join(ignored)}"
+    elif args.trace == "off" and (args.trace_out is not None or args.digests):
+        return "--trace-out and --digests need --trace summary or full"
+    return None
 
 
 def _make_policy(args: argparse.Namespace):
@@ -182,6 +215,10 @@ def _sweep(compiled, word, args, choice: str, out) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     out = sys.stdout
+    conflict = _flag_conflict(args) if args.subcommand == "run" else None
+    if conflict:
+        print(f"error: {conflict}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         machine, word = load_machine(args.metafile, row=args.row)
     except (DefinitionError, ValidationError) as exc:

@@ -287,25 +287,6 @@ class Tape:
         return f"Tape({' '.join(self.cells)} @{self.head})"
 
 
-def tapes_equal_to_terminator(a: Tape, b: Tape, stop: str) -> bool:
-    """Cell-wise equality from cell 0 up to the first shared `stop` symbol.
-
-    Mirrors the scan comparison the stage machinery performs: content beyond
-    the terminator is invisible.
-    """
-    i = 0
-    while True:
-        sa = a.cells[i] if i < len(a.cells) else a.empty
-        sb = b.cells[i] if i < len(b.cells) else b.empty
-        if sa != sb:
-            return False
-        if sa == stop:
-            return True
-        if i >= len(a.cells) and i >= len(b.cells):
-            return True
-        i += 1
-
-
 # Program-control variants. Stage #1 is represented by UserControl; the stage
 # records cover only the embedded machinery (#2..#7).
 

@@ -8,9 +8,17 @@ through text without loss, which is what the replay-determinism checks diff.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 
 from .stages import TAPE_ORDER
+
+# A record line holds these fields in this order, tab-separated; `masked=1`
+# and `digests=` are present only when set.
+_KEYS = ("step", "daemon", "phase", "stage", "before", "after", "action", "heads",
+         "masked", "digests")
+_MASKED = "\tmasked=1"
+_DIGESTS = "\tdigests="
 
 
 @dataclass(frozen=True)
@@ -27,64 +35,69 @@ class TraceRecord:
     digests: tuple[str, str, str, str, str] | None = None
 
     def render(self) -> str:
-        fields = [
-            f"step={self.step}",
-            f"daemon={self.daemon}",
-            f"phase={self.phase}",
-            f"stage={self.stage}",
-            f"before={self.before}",
-            f"after={self.after}",
-            f"action={self.action}",
-            "heads=" + ",".join(map(str, self.heads)),
-        ]
-        if self.masked:
-            fields.append("masked=1")
-        if self.digests is not None:
-            fields.append("digests=" + ",".join(self.digests))
-        return "\t".join(fields)
+        heads = self.heads
+        digests = self.digests
+        return (f"step={self.step}\tdaemon={self.daemon}\tphase={self.phase}"
+                f"\tstage={self.stage}\tbefore={self.before}\tafter={self.after}"
+                f"\taction={self.action}"
+                f"\theads={heads[0]},{heads[1]},{heads[2]},{heads[3]},{heads[4]}"
+                f"{_MASKED if self.masked else ''}"
+                f"{'' if digests is None else _DIGESTS + ','.join(digests)}")
+
+
+# Values are matched loosely (anything but a tab, and no comma inside a list),
+# so that `int` reports a bad number; a line in any other layout fails to
+# match, and `_layout_error` says why.
+_LIST5 = ",".join([r"([^\t,]*)"] * 5)
+_RECORD = re.compile("".join(f"{key}=([^\t]*)\t" for key in _KEYS[:7])
+                     + f"heads={_LIST5}(\tmasked=1)?(?:\tdigests={_LIST5})?")
 
 
 def render_trace(records: list[TraceRecord]) -> str:
-    return "".join(record.render() + "\n" for record in records)
+    return "".join([f"{record.render()}\n" for record in records])
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
+    """Records from the text of a trace; blank lines are skipped. A line in
+    any other layout than `TraceRecord.render` writes raises `ValueError`
+    naming its line number."""
     records = []
+    match_record = _RECORD.fullmatch
     for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields: dict[str, str] = {}
-        for chunk in line.split("\t"):
-            key, sep, value = chunk.partition("=")
-            if not sep:
-                raise ValueError(f"line {number}: field {chunk!r} is not key=value")
-            fields[key] = value
+        match = match_record(line)
+        if match is None:
+            if not line.strip():
+                continue
+            raise ValueError(f"line {number}: {_layout_error(line)}")
+        (step, daemon, phase, stage, before, after, action, h0, h1, h2, h3, h4,
+         masked, d0, d1, d2, d3, d4) = match.groups()
         try:
-            heads = tuple(map(int, fields["heads"].split(",")))
-            if len(heads) != 5:
-                raise ValueError(f"expected 5 heads, got {len(heads)}")
-            digests = None
-            if "digests" in fields:
-                digests = tuple(fields["digests"].split(","))
-                if len(digests) != 5:
-                    raise ValueError(f"expected 5 digests, got {len(digests)}")
             records.append(TraceRecord(
-                step=int(fields["step"]),
-                daemon=fields["daemon"],
-                phase=fields["phase"],
-                stage=int(fields["stage"]),
-                before=fields["before"],
-                after=fields["after"],
-                action=fields["action"],
-                heads=heads,  # type: ignore[arg-type]
-                masked=fields.get("masked") == "1",
-                digests=digests,  # type: ignore[arg-type]
-            ))
-        except KeyError as exc:
-            raise ValueError(f"line {number}: missing field {exc.args[0]}") from None
+                int(step), daemon, phase, int(stage), before, after, action,
+                (int(h0), int(h1), int(h2), int(h3), int(h4)),
+                masked is not None,
+                None if d0 is None else (d0, d1, d2, d3, d4)))
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
     return records
+
+
+def _layout_error(line: str) -> str:
+    """Why a non-blank line that `_RECORD` does not match is not a record."""
+    keys = []
+    for chunk in line.split("\t"):
+        key, sep, value = chunk.partition("=")
+        if not sep:
+            return f"field {chunk!r} is not key=value"
+        if key in ("heads", "digests") and value.count(",") != 4:
+            return f"expected 5 {key}, got {value.count(',') + 1}"
+        if key not in _KEYS or (key == "masked" and value != "1"):
+            return f"unknown field {chunk!r}"
+        keys.append(key)
+    for key in _KEYS[:8]:
+        if key not in keys:
+            return f"missing field {key}"
+    return f"fields out of order or repeated: {', '.join(keys)}"
 
 
 def tape_digest(cells: list[str]) -> str:

@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from tmfsim import compile_machine, load_machine
+from tmfsim.model import Tape
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -15,6 +16,25 @@ SWEEP_NAMES = ("unary", "succ")
 
 def corpus_meta(name: str) -> str:
     return str(CORPUS / f"{name}.meta")
+
+
+def tapes_equal_to_terminator(a: Tape, b: Tape, stop: str) -> bool:
+    """Cell-wise equality from cell 0 up to the first shared `stop` symbol.
+
+    Mirrors the scan comparison the stage machinery performs: content beyond
+    the terminator is invisible.
+    """
+    i = 0
+    while True:
+        sa = a.cells[i] if i < len(a.cells) else a.empty
+        sb = b.cells[i] if i < len(b.cells) else b.empty
+        if sa != sb:
+            return False
+        if sa == stop:
+            return True
+        if i >= len(a.cells) and i >= len(b.cells):
+            return True
+        i += 1
 
 
 def step_events(records) -> list[str]:

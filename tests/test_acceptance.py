@@ -17,11 +17,11 @@ from collections import Counter
 
 from tmfsim.daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, run, run_basic_oracle
-from tmfsim.model import PLUS, tapes_equal_to_terminator
+from tmfsim.model import PLUS
 from tmfsim.stages import BACKUP, BACKUP_SYNCHRO, MASTER, SYNCHRO
 from tmfsim.trace import render_trace
 
-from conftest import step_events
+from conftest import step_events, tapes_equal_to_terminator
 
 ORACLE_MACHINES = ("unary", "succ", "palin")
 SWEEP_MACHINES = ("unary", "succ")

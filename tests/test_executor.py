@@ -18,13 +18,12 @@ from tmfsim.model import (
     ShutdownControl,
     StageControl,
     UserControl,
-    tapes_equal_to_terminator,
     validate_machine,
 )
 from tmfsim.stages import BACKUP, BACKUP_SYNCHRO, MASTER, SYNCHRO, USER, compile_machine
 from tmfsim.trace import render_trace
 
-from conftest import MACHINE_NAMES, step_events
+from conftest import MACHINE_NAMES, step_events, tapes_equal_to_terminator
 
 
 def step_until(cfg, predicate, limit=50_000):

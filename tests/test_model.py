@@ -9,11 +9,12 @@ from tmfsim.model import (
     Rule,
     Tape,
     ValidationError,
-    tapes_equal_to_terminator,
     validate_machine,
 )
 from tmfsim.stages import TAPE_ORDER
 from tmfsim.trace import digest_tapes, tape_digest
+
+from conftest import tapes_equal_to_terminator
 
 
 def make_machine(delta, gamma=(), states=("q0", "qf"), initial="q0", halting="qf",

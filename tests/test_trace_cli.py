@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tmfsim.cli import main
 from tmfsim.daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy
@@ -23,6 +24,24 @@ from conftest import CORPUS, MACHINE_NAMES, corpus_meta
 
 GOOD_LINE = ("step=1\tdaemon=passive\tphase=program\tstage=1\tbefore=user:q0"
              "\tafter=user:q0\taction=normal\theads=1,1,0,0,1")
+
+# Everything `str.splitlines` breaks a line at.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def field_text(forbidden: str = "") -> st.SearchStrategy[str]:
+    """Text without tabs or line breaks, rich in the `=`, `,`, `:` and spaces
+    that real actions such as `micro:compare(...,stop=empty,...)` carry."""
+    separators = [c for c in "=,: " if c not in forbidden]
+    return st.text(st.sampled_from(separators)
+                   | st.characters(exclude_characters="\t" + LINE_BREAKS + forbidden))
+
+
+counts = st.integers(min_value=0)
+trace_records = st.builds(
+    TraceRecord, counts, field_text(), field_text(), counts, field_text(), field_text(),
+    field_text(), st.tuples(*[counts] * 5), st.booleans(),
+    st.none() | st.tuples(*[field_text(forbidden=",")] * 5))
 
 
 class TestTraceFormat:
@@ -44,6 +63,10 @@ class TestTraceFormat:
         assert parse_trace(text) == records
         assert render_trace(parse_trace(text)) == text
 
+    @given(records=st.lists(trace_records, max_size=4))
+    def test_round_trip_generated_records(self, records):
+        assert parse_trace(render_trace(records)) == records
+
     def test_parse_rejects_malformed_lines(self):
         with pytest.raises(ValueError, match="key=value"):
             parse_trace("step=1\tnonsense\n")
@@ -56,7 +79,12 @@ class TestTraceFormat:
                 (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=1,2"), "expected 5 heads"),
                 (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=1,1,0,0,1,1"), "expected 5 heads"),
                 (GOOD_LINE.replace("stage=1", "stage=x"), "invalid literal"),
-                (GOOD_LINE + "\tdigests=aa,bb", "expected 5 digests")):
+                (GOOD_LINE + "\tdigests=aa,bb", "expected 5 digests"),
+                (GOOD_LINE.replace("daemon=passive\tphase=program",
+                                   "phase=program\tdaemon=passive"), "fields out of order"),
+                (GOOD_LINE + "\tcolor=red", "unknown field 'color=red'"),
+                (GOOD_LINE + "\tmasked=0", "unknown field 'masked=0'"),
+                (GOOD_LINE + "\tdigests=aa,bb,cc,dd,ee\tmasked=1", "fields out of order")):
             with pytest.raises(ValueError, match=f"^line 2: {complaint}"):
                 parse_trace(GOOD_LINE + "\n" + bad + "\n")
 
@@ -147,6 +175,33 @@ class TestCliRun:
                                 flag, value], capsys)
         assert code == 1
         assert err.startswith("error: ")
+
+    def test_usage_error_exits_1_not_the_step_limit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-m", corpus_meta("unary"), "--daemon", "bogus"])
+        assert exc.value.code == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--sweep-fault-step", "--daemon", "random"],
+        ["--sweep-fault-step", "--p-fault", "0.1"],
+        ["--sweep-failure-step", "--p-failure", "0.1"],
+        ["--sweep-fault-step", "--seed", "3"],
+        ["--sweep-failure-step", "--daemon-script", "schedule"],
+        ["--sweep-fault-step", "--trace", "full"],
+        ["--sweep-failure-step", "--trace-out", "trace.txt"],
+        ["--sweep-fault-step", "--digests"],
+        ["--sweep-fault-step", "--sweep-failure-step"],
+        ["--trace-out", "trace.txt"],
+        ["--digests"],
+    ], ids="+".join)
+    def test_run_rejects_flags_it_would_ignore(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["run", "-m", corpus_meta("unary"), *flags], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+        assert not list(tmp_path.iterdir())
 
     def test_trace_to_file_round_trips(self, tmp_path, capsys):
         out_path = tmp_path / "trace.txt"
