@@ -53,6 +53,17 @@ def _add_common(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--row", type=int, default=0, help="metafile row to use (default 0)")
 
 
+def _step_budget(text: str) -> int:
+    """`--max-steps`: an int, not negative."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {budget}")
+    return budget
+
+
 def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--daemon", choices=("passive", "random", "script"), default="passive")
     cmd.add_argument("--p-fault", type=float, default=0.0)
@@ -61,7 +72,7 @@ def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--daemon-script", help="schedule file for --daemon script")
     cmd.add_argument("--allow-failure-in-critical", action="store_true",
                      help="let failures strike during backup/recovery stages")
-    cmd.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    cmd.add_argument("--max-steps", type=_step_budget, default=DEFAULT_MAX_STEPS)
     cmd.add_argument("--trace", choices=("off", "summary", "full"), default="off")
     cmd.add_argument("--trace-out", help="write the trace here instead of stdout")
     cmd.add_argument("--digests", action="store_true",
@@ -100,14 +111,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("oracle", help="run the plain single-tape machine")
     _add_common(cmd)
-    cmd.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    cmd.add_argument("--max-steps", type=_step_budget, default=DEFAULT_MAX_STEPS)
     return top
 
 
 def _flag_conflict(args: argparse.Namespace) -> str | None:
     """Why the flags of a `run` do not go together, or None if they do. A
-    sweep runs its own single-event schedules untraced, and `--trace off`
-    writes nothing, so flags they would ignore are refused."""
+    sweep runs its own single-event schedules untraced, `--trace off`
+    writes nothing, and each daemon reads only its own flags, so flags they
+    would ignore are refused."""
     if args.sweep_fault_step and args.sweep_failure_step:
         return "--sweep-fault-step and --sweep-failure-step cannot be combined"
     if args.sweep_fault_step or args.sweep_failure_step:
@@ -125,6 +137,14 @@ def _flag_conflict(args: argparse.Namespace) -> str | None:
             return f"{sweep} does not take {', '.join(ignored)}"
     elif args.trace == "off" and (args.trace_out is not None or args.digests):
         return "--trace-out and --digests need --trace summary or full"
+    ignored = [flag for flag, given, reader in (
+        ("--p-fault", args.p_fault != 0, "random"),
+        ("--p-failure", args.p_failure != 0, "random"),
+        ("--seed", args.seed != 0, "random"),
+        ("--daemon-script", args.daemon_script is not None, "script"))
+        if given and args.daemon != reader]
+    if ignored:
+        return f"--daemon {args.daemon} does not take {', '.join(ignored)}"
     return None
 
 

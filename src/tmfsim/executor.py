@@ -270,10 +270,17 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
             cfg.committed = Snapshot(resume=cfg.control.resume, ideal_steps=cfg.ideal_steps)
             cfg.checkpoints_committed += 1
         cfg.control = result.control
-        if (isinstance(cfg.control, StageControl) and cfg.control.stage == 5
-                and stage_label != 5):
+        action = result.action
+        if isinstance(cfg.control, StageControl):
+            if cfg.control.stage == 5 and stage_label != 5:
+                cfg.control = _enter_recovery(cfg)
+        elif isinstance(cfg.control, ShutdownControl) and not cfg.ideal_halted:
+            # The summary check passed before the reference halted: the
+            # master reached the halting state early, so its word is not
+            # the reference's yet.
             cfg.control = _enter_recovery(cfg)
-        records = [record("program", result.action, cfg.control.render())]
+            action = "summary-recover"
+        records = [record("program", action, cfg.control.render())]
 
     cfg.step_index += 1
     return records

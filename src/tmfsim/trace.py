@@ -45,12 +45,17 @@ class TraceRecord:
                 f"{'' if digests is None else _DIGESTS + ','.join(digests)}")
 
 
-# Values are matched loosely (anything but a tab, and no comma inside a list),
-# so that `int` reports a bad number; a line in any other layout fails to
-# match, and `_layout_error` says why.
-_LIST5 = ",".join([r"([^\t,]*)"] * 5)
-_RECORD = re.compile("".join(f"{key}=([^\t]*)\t" for key in _KEYS[:7])
-                     + f"heads={_LIST5}(\tmasked=1)?(?:\tdigests={_LIST5})?")
+# Integers are written in canonical decimal form, the only form parsed back;
+# text values are anything but a tab, with no comma inside the digest list.
+# The six fields from `daemon` to `action` also form one group, so that
+# `parse_trace` splits each distinct run of them only once. A line in any
+# other layout fails to match, and `_layout_error` says why.
+_INT = "0|[1-9][0-9]*"
+_TEXT = "[^\t]*"
+_MIDDLE = "\t".join(f"{key}=({_INT if key == 'stage' else _TEXT})" for key in _KEYS[1:7])
+_HEADS = ",".join([f"({_INT})"] * 5)
+_RECORD = re.compile(f"step=({_INT})\t({_MIDDLE})\theads={_HEADS}"
+                     "(\tmasked=1)?(?:\tdigests=([^\t,]*(?:,[^\t,]*){4}))?")
 
 
 def render_trace(records: list[TraceRecord]) -> str:
@@ -60,8 +65,14 @@ def render_trace(records: list[TraceRecord]) -> str:
 def parse_trace(text: str) -> list[TraceRecord]:
     """Records from the text of a trace; blank lines are skipped. A line in
     any other layout than `TraceRecord.render` writes raises `ValueError`
-    naming its line number."""
+    naming its line number.
+
+    Records with equal `daemon`..`action` fields, or equal digests, share
+    those values: each distinct text is split once per call.
+    """
     records = []
+    middles: dict[str, tuple[str, str, int, str, str, str]] = {}
+    digest_sets: dict[str, tuple[str, ...]] = {}
     match_record = _RECORD.fullmatch
     for number, line in enumerate(text.splitlines(), start=1):
         match = match_record(line)
@@ -69,16 +80,19 @@ def parse_trace(text: str) -> list[TraceRecord]:
             if not line.strip():
                 continue
             raise ValueError(f"line {number}: {_layout_error(line)}")
-        (step, daemon, phase, stage, before, after, action, h0, h1, h2, h3, h4,
-         masked, d0, d1, d2, d3, d4) = match.groups()
-        try:
-            records.append(TraceRecord(
-                int(step), daemon, phase, int(stage), before, after, action,
-                (int(h0), int(h1), int(h2), int(h3), int(h4)),
-                masked is not None,
-                None if d0 is None else (d0, d1, d2, d3, d4)))
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
+        (step, middle, daemon, phase, stage, before, after, action, h0, h1, h2, h3, h4,
+         masked, digests) = match.groups()
+        fields = middles.get(middle)
+        if fields is None:
+            fields = middles[middle] = (daemon, phase, int(stage), before, after, action)
+        if digests is not None:
+            shared = digest_sets.get(digests)
+            if shared is None:
+                shared = digest_sets[digests] = tuple(digests.split(","))
+            digests = shared
+        records.append(TraceRecord(
+            int(step), *fields, (int(h0), int(h1), int(h2), int(h3), int(h4)),
+            masked is not None, digests))
     return records
 
 
@@ -93,6 +107,14 @@ def _layout_error(line: str) -> str:
             return f"expected 5 {key}, got {value.count(',') + 1}"
         if key not in _KEYS or (key == "masked" and value != "1"):
             return f"unknown field {chunk!r}"
+        if key in ("step", "stage", "heads"):
+            for text in value.split(",") if key == "heads" else (value,):
+                if re.fullmatch(_INT, text) is None:
+                    try:
+                        int(text)
+                    except ValueError as exc:
+                        return str(exc)
+                    return f"non-canonical integer {text!r} in {key}"
         keys.append(key)
     for key in _KEYS[:8]:
         if key not in keys:
@@ -119,14 +141,15 @@ def digest_tapes(tapes) -> tuple[str, str, str, str, str]:
 
 def summarize(records: list[TraceRecord]) -> list[TraceRecord]:
     """Keep only the notable records: faults, failures and repairs,
-    downgrades, checkpoint entries, marks, commits, and control handoffs."""
+    downgrades, checkpoint entries, marks, commits, recoveries from the
+    summary check, and control handoffs."""
     keep = []
     for record in records:
         notable = (
             record.phase != "program"
             or record.masked
             or record.action.startswith("fault:")
-            or record.action in ("checkpoint-enter", "commit")
+            or record.action in ("checkpoint-enter", "commit", "summary-recover")
             or record.action.startswith("micro:enter_")
             or record.action.startswith("micro:mark_plus")
         )

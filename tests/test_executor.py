@@ -21,7 +21,7 @@ from tmfsim.model import (
     validate_machine,
 )
 from tmfsim.stages import BACKUP, BACKUP_SYNCHRO, MASTER, SYNCHRO, USER, compile_machine
-from tmfsim.trace import render_trace
+from tmfsim.trace import render_trace, summarize
 
 from conftest import MACHINE_NAMES, step_events, tapes_equal_to_terminator
 
@@ -43,6 +43,17 @@ def first_user_step(compiled, word):
     cfg = init_configuration(compiled, word, AlwaysPassive())
     step_until(cfg, in_user_control)
     return cfg.step_index
+
+
+def early_halting_unary():
+    """`unary` with a fault that halts at once, writing the symbol it read:
+    the tapes still agree, but the reference has not halted yet."""
+    return compile_machine(validate_machine(BasicMachine(
+        states=("q0", "qf"), initial="q0", halting="qf",
+        alphabet=Alphabet("b", input=("1",)),
+        delta=(Rule("q0", "1", "q0", "1", "R", checkpoint=True),
+               Rule("q0", "b", "qf", "1", "N", checkpoint=True)),
+        gamma=(Rule("q0", "1", "qf", "1", "N"),))))
 
 
 class TestInit:
@@ -225,6 +236,33 @@ class TestRun:
         assert result.outcome == "shutdown"
         assert result.final_master_word == oracle
         assert result.recoveries >= 1
+
+    def test_summary_check_waits_for_the_reference(self):
+        compiled = early_halting_unary()
+        word = ("1", "1")
+        cfg = init_configuration(compiled, word, ScriptPolicy({25: "active"}))
+        result, records = run(cfg)
+        assert result.faults_injected == 1
+        assert result.outcome == "shutdown"
+        assert result.final_master_word == run_basic_oracle(compiled.base, word) == ("1", "1", "1")
+        recovered = [r for r in records if r.action == "summary-recover"]
+        assert len(recovered) == 1
+        assert recovered[0].stage == 7
+        assert recovered[0].after == "stage:5/0/q0"
+        assert recovered[0] in summarize(records)
+
+    def test_no_single_fault_shuts_down_with_a_wrong_word(self):
+        compiled = early_halting_unary()
+        word = ("1", "1")
+        oracle = run_basic_oracle(compiled.base, word)
+        baseline, _ = run(init_configuration(compiled, word))
+        wrong = []
+        for k in range(baseline.steps_used):
+            cfg = init_configuration(compiled, word, ScriptPolicy({k: "active"}))
+            result, _ = run(cfg, max_steps=5_000)
+            if result.outcome == "shutdown" and result.final_master_word != oracle:
+                wrong.append((k, result.final_master_word))
+        assert wrong == []
 
     def test_recovery_restores_consistency(self, unary):
         compiled, word = unary

@@ -84,9 +84,34 @@ class TestTraceFormat:
                                    "phase=program\tdaemon=passive"), "fields out of order"),
                 (GOOD_LINE + "\tcolor=red", "unknown field 'color=red'"),
                 (GOOD_LINE + "\tmasked=0", "unknown field 'masked=0'"),
-                (GOOD_LINE + "\tdigests=aa,bb,cc,dd,ee\tmasked=1", "fields out of order")):
+                (GOOD_LINE + "\tdigests=aa,bb,cc,dd,ee\tmasked=1", "fields out of order"),
+                (GOOD_LINE.replace("step=1", "step=+1_0"), "non-canonical integer '\\+1_0' in step"),
+                (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=01,1,0,0,1"),
+                 "non-canonical integer '01' in heads"),
+                (GOOD_LINE.replace("stage=1", "stage= 1"), "non-canonical integer ' 1' in stage"),
+                (GOOD_LINE.replace("step=1", "step=\u0661"), "non-canonical integer")):
             with pytest.raises(ValueError, match=f"^line 2: {complaint}"):
                 parse_trace(GOOD_LINE + "\n" + bad + "\n")
+
+    def test_parsed_records_share_equal_values(self, tmp_path, capsys):
+        path = tmp_path / "trace.txt"
+        code, _, _ = run_cli(["run", "-m", corpus_meta("succ"), "--daemon", "random",
+                              "--p-fault", "0.05", "--p-failure", "0.01", "--seed", "7",
+                              "--trace", "full", "--digests", "--trace-out", str(path)],
+                             capsys)
+        assert code == 0
+        records = parse_trace(path.read_text())
+        first_digests = {}
+        first_middle = {}
+        for record in records:
+            digests = first_digests.setdefault(record.digests, record.digests)
+            assert record.digests is digests
+            middle = (record.daemon, record.phase, record.stage, record.before,
+                      record.after, record.action)
+            for value, first in zip(middle, first_middle.setdefault(middle, middle)):
+                assert value is first
+        assert len(first_digests) < len(records) / 2
+        assert len(first_middle) < len(records) / 2
 
     @pytest.mark.parametrize("allow", [False, True], ids=["masked", "unmasked"])
     @pytest.mark.parametrize("name", MACHINE_NAMES)
@@ -194,6 +219,14 @@ class TestCliRun:
         ["--sweep-fault-step", "--sweep-failure-step"],
         ["--trace-out", "trace.txt"],
         ["--digests"],
+        ["--p-fault", "0.5", "--daemon-script", "nowhere"],
+        ["--p-failure", "0.1"],
+        ["--seed", "3"],
+        ["--daemon-script", "schedule"],
+        ["--daemon", "random", "--daemon-script", "schedule"],
+        ["--daemon", "script", "--daemon-script", os.devnull, "--p-fault", "0.1"],
+        ["--daemon", "script", "--daemon-script", os.devnull, "--p-failure", "0.1"],
+        ["--daemon", "script", "--daemon-script", os.devnull, "--seed", "3"],
     ], ids="+".join)
     def test_run_rejects_flags_it_would_ignore(self, tmp_path, monkeypatch, capsys, flags):
         monkeypatch.chdir(tmp_path)
@@ -202,6 +235,13 @@ class TestCliRun:
         assert err.startswith("error: ")
         assert out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("subcommand", ["run", "oracle"])
+    def test_negative_max_steps_is_a_usage_error(self, capsys, subcommand):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "-m", corpus_meta("unary"), "--max-steps", "-5"])
+        assert exc.value.code == 1
+        assert "--max-steps: must not be negative" in capsys.readouterr().err
 
     def test_trace_to_file_round_trips(self, tmp_path, capsys):
         out_path = tmp_path / "trace.txt"
