@@ -181,15 +181,15 @@ def _print_result(result: RunResult, out) -> None:
 
 
 def _write_trace(records, args, out) -> None:
+    """Stream the chosen records, one line at a time, to `--trace-out` or `out`."""
     if args.trace == "off":
         return
     chosen = summarize(records) if args.trace == "summary" else records
-    text = render_trace(chosen)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            render_trace(chosen, handle)
     else:
-        out.write(text)
+        render_trace(chosen, out)
 
 
 def _single_shot(compiled, word, args, out) -> int:

@@ -94,7 +94,7 @@ class Configuration:
     __slots__ = (
         "compiled", "policy", "mask", "tapes", "control",
         "ideal_state", "ideal_head", "ideal_halted", "ideal_steps", "replay_debt",
-        "committed", "step_index",
+        "committed", "step_index", "last_digests",
         "faults_injected", "failures_injected", "recoveries", "checkpoints_committed",
     )
 
@@ -112,6 +112,9 @@ class Configuration:
         self.replay_debt = 0
         self.committed = committed
         self.step_index = 0
+        # The digests of the last record taken with them: records share one
+        # tuple while no tape changes.
+        self.last_digests: tuple[str, str, str, str, str] | None = None
         self.faults_injected = 0
         self.failures_injected = 0
         self.recoveries = 0
@@ -205,11 +208,17 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
     stage_label = cfg.control.stage if isinstance(cfg.control, StageControl) else 1
 
     def record(phase: str, action: str, after: str) -> TraceRecord:
+        digests = None
+        if with_digests:
+            digests = digest_tapes(cfg.tapes)
+            if digests == cfg.last_digests:
+                digests = cfg.last_digests
+            else:
+                cfg.last_digests = digests
         return TraceRecord(
             step=cfg.step_index, daemon=choice, phase=phase, stage=stage_label,
             before=before, after=after, action=action, heads=cfg.heads(),
-            masked=masked,
-            digests=digest_tapes(cfg.tapes) if with_digests else None,
+            masked=masked, digests=digests,
         )
 
     records: list[TraceRecord]

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from tmfsim.model import Alphabet, BasicMachine, Rule, StageControl, Tape, validate_machine
 from tmfsim.stages import (
     BACKUP,
+    BACKUP_SYNCHRO,
     EnterShutdown,
     EnterUser,
     MASTER,
@@ -11,6 +12,7 @@ from tmfsim.stages import (
     NEXT,
     PlusNotFound,
     ScanCompare,
+    ScanCopy,
     SeekPlus,
     SYNCHRO,
     USER,
@@ -37,7 +39,7 @@ def tape_set(empty="b", master=(), user=(), synchro=(), backup=(), backup_synchr
         USER: Tape(empty, user),
         SYNCHRO: Tape(empty, synchro),
         BACKUP: Tape(empty, backup),
-        "backup_synchro": Tape(empty, backup_synchro),
+        BACKUP_SYNCHRO: Tape(empty, backup_synchro),
     }
 
 
@@ -178,6 +180,50 @@ class TestStageStep:
         cells = tapes["backup_synchro"].cells
         assert cells[:4] == ["!", "b", "b", "+"]
         assert cells.count("+") == 1
+
+
+class TestAllocationExits:
+    """A position tape without "+" ends a stop-plus scan only at the written
+    extent of the tapes (`Tape.allocated`), a state no tape symbol shows."""
+
+    @staticmethod
+    def run_op(compiled, control, tapes, limit=100):
+        """Step one micro-op until control leaves it; its actions and the
+        control it left to."""
+        actions = []
+        for _ in range(limit):
+            result = stage_step(compiled, control, tapes)
+            actions.append(result.action)
+            if result.control != control:
+                return result.control, actions
+        raise AssertionError("op did not finish")
+
+    @pytest.mark.parametrize("stage", [4, 6])
+    def test_plus_compare_without_plus_ends_equal_without_commit(self, stage):
+        compiled = compile_machine(small_machine())
+        op = compiled.stage_programs[stage].ops[3]
+        assert isinstance(op, ScanCompare) and op.stop == "plus"
+        tapes = tape_set(synchro=("b", "b"), backup_synchro=("b", "b", "b", "b"))
+        tapes[SYNCHRO].head = tapes[BACKUP_SYNCHRO].head = 0
+        control, actions = self.run_op(compiled, StageControl(stage, 3, "q0"), tapes)
+        assert control == StageControl(stage, 4, "q0")   # on_equal: the next op
+        assert actions == [f"micro:{op.render()}"] * 6
+        assert tapes[SYNCHRO].head == tapes[BACKUP_SYNCHRO].head == 5
+        assert tapes[BACKUP_SYNCHRO].head == tapes[BACKUP_SYNCHRO].allocated
+
+    @pytest.mark.parametrize("stage, src, dst", [(3, SYNCHRO, BACKUP_SYNCHRO),
+                                                 (5, BACKUP_SYNCHRO, SYNCHRO)])
+    def test_plus_copy_without_plus_stops_at_the_source_extent(self, stage, src, dst):
+        compiled = compile_machine(small_machine())
+        op = compiled.stage_programs[stage].ops[3]
+        assert op == ScanCopy(src, dst, "plus")
+        tapes = tape_set(**{src: ("b", "b"), dst: ("1", "1", "1", "+")})
+        tapes[src].head = tapes[dst].head = 0
+        control, actions = self.run_op(compiled, StageControl(stage, 3, "q0"), tapes)
+        assert control == StageControl(stage, 4, "q0")   # NEXT: the stage's end
+        assert actions == [f"micro:{op.render()}"] * 4
+        assert tapes[src].head == tapes[src].allocated == 3
+        assert tapes[dst].cells == ["!", "b", "b", "b", "+"]
 
 
 class TestEmitPi:

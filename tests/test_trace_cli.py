@@ -62,6 +62,7 @@ class TestTraceFormat:
         text = render_trace(records)
         assert parse_trace(text) == records
         assert render_trace(parse_trace(text)) == text
+        assert parse_trace(text.replace("\n", "\r\n")) == records
 
     @given(records=st.lists(trace_records, max_size=4))
     def test_round_trip_generated_records(self, records):
@@ -92,6 +93,38 @@ class TestTraceFormat:
                 (GOOD_LINE.replace("step=1", "step=\u0661"), "non-canonical integer")):
             with pytest.raises(ValueError, match=f"^line 2: {complaint}"):
                 parse_trace(GOOD_LINE + "\n" + bad + "\n")
+
+    @pytest.mark.parametrize("brk", [*LINE_BREAKS, "\r\n"], ids=ascii)
+    def test_parse_splits_lines_as_splitlines_does(self, brk):
+        """Every `str.splitlines` break ends a line, as a blank line, as a
+        record's terminator and inside a field alike: `parse_trace` gives
+        the records, or the `line N:` error, of reading each line alone."""
+        other = GOOD_LINE.replace("step=1", "step=2")
+        split_field = GOOD_LINE.replace("action=normal", f"action=nor{brk}mal")
+        for text in (GOOD_LINE + brk + brk + other + brk,
+                     GOOD_LINE + brk + other + brk + other,
+                     GOOD_LINE + "\n" + split_field + "\n" + other + "\n"):
+            assert parse_outcome(text) == parse_each_line(text)
+
+    def test_records_share_digests_while_no_tape_changes(self, succ):
+        """In a `--digests` run, a record holds the tuple of the record before
+        it exactly when no tape changed between the two."""
+        compiled, word = succ
+        cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, 7))
+        previous = None
+        shared = renewed = 0
+        while not isinstance(cfg.control, ShutdownControl):
+            cells = [list(cfg.tapes[name].cells) for name in TAPE_ORDER]
+            records = step(cfg, with_digests=True)
+            digests = records[0].digests
+            assert all(record.digests is digests for record in records)
+            if previous is not None:
+                unchanged = cells == [cfg.tapes[name].cells for name in TAPE_ORDER]
+                assert (digests is previous) == unchanged
+                shared += unchanged
+                renewed += not unchanged
+            previous = digests
+        assert shared and renewed
 
     def test_parsed_records_share_equal_values(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
@@ -141,6 +174,27 @@ class TestTraceFormat:
         assert any(r.action == "checkpoint-enter" for r in summary)
         assert any(r.action == "commit" for r in summary)
         assert all(not r.action.startswith("micro:rewind") for r in summary)
+
+
+def parse_outcome(text):
+    """`parse_trace`'s records, or its error message."""
+    try:
+        return parse_trace(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def parse_each_line(text):
+    """What `parse_trace` should give: each `text.splitlines()` line read on
+    its own, blank ones skipped, the first error named by its line number."""
+    records = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            outcome = parse_outcome(line)
+            if isinstance(outcome, str):
+                return outcome.replace("line 1:", f"line {number}:", 1)
+            records.extend(outcome)
+    return records
 
 
 def run_cli(args, capsys):
@@ -250,6 +304,36 @@ class TestCliRun:
         assert code == 0
         text = out_path.read_text()
         assert render_trace(parse_trace(text)) == text
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["trace-out", "stdout"])
+    @pytest.mark.parametrize("mode", ["full", "summary"])
+    def test_streamed_trace_equals_rendered_records(self, succ, tmp_path, capsys, mode,
+                                                   to_file):
+        compiled, word = succ
+        cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, 9))
+        result, records = run(cfg, with_digests=True)
+        assert result.faults_injected and result.failures_injected
+        expected = render_trace(records if mode == "full" else summarize(records))
+        args = ["run", "-m", corpus_meta("succ"), "--daemon", "random", "--p-fault", "0.05",
+                "--p-failure", "0.01", "--seed", "9", "--trace", mode, "--digests"]
+        path = tmp_path / "trace.txt"
+        code, out, _ = run_cli(args + ["--trace-out", str(path)] if to_file else args, capsys)
+        assert code == 0
+        if to_file:
+            assert path.read_bytes() == expected.encode("utf-8")
+            assert "step=" not in out
+        else:
+            assert out.endswith(expected)
+            assert "step=" not in out[:-len(expected)]
+
+    def test_render_trace_to_a_handle_writes_the_text(self, succ):
+        compiled, word = succ
+        cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, 9))
+        _, records = run(cfg, with_digests=True)
+        for chosen in (records, summarize(records), []):
+            handle = io.StringIO()
+            assert render_trace(chosen, handle) is None
+            assert handle.getvalue() == render_trace(chosen)
 
     def test_summary_trace_on_stdout(self, capsys):
         code, out, _ = run_cli(["run", "-m", corpus_meta("unary"), "--trace", "summary"],
