@@ -48,18 +48,16 @@ class TraceRecord:
 
 
 # Integers are written in canonical decimal form, the only form parsed back;
-# text values are anything but a tab or a line break, with no comma inside the
-# digest list. The six fields from `daemon` to `action` also form one group,
-# so that `parse_trace` splits each distinct run of them only once. A line in
-# any other layout fails to match, and `_layout_error` says why.
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"   # every `str.splitlines` break
+# text values are anything but a tab, with no comma inside the digest list.
+# The six fields from `daemon` to `action` also form one group, so that
+# `parse_trace` splits each distinct run of them only once. A line in any
+# other layout fails to match, and `_layout_error` says why.
 _INT = "0|[1-9][0-9]*"
-_TEXT = f"[^\t{_BREAKS}]*"
-_DIGEST = f"[^\t,{_BREAKS}]*"
+_TEXT = "[^\t]*"
 _MIDDLE = "\t".join(f"{key}=({_INT if key == 'stage' else _TEXT})" for key in _KEYS[1:7])
 _HEADS = ",".join([f"({_INT})"] * 5)
 _RECORD = re.compile(f"step=({_INT})\t({_MIDDLE})\theads={_HEADS}"
-                     f"(\tmasked=1)?(?:\tdigests=({_DIGEST}(?:,{_DIGEST}){{4}}))?")
+                     "(\tmasked=1)?(?:\tdigests=([^\t,]*(?:,[^\t,]*){4}))?")
 
 
 def render_trace(records: Iterable[TraceRecord], out: TextIO | None = None) -> str | None:
@@ -86,45 +84,25 @@ def parse_trace(text: str) -> list[TraceRecord]:
     middles: dict[str, tuple[str, str, int, str, str, str]] = {}
     digest_sets: dict[str, tuple[str, ...]] = {}
     match_record = _RECORD.fullmatch
-    # A record matches without the break that ends it, so a matched segment
-    # up to the next "\n" is exactly one line. Any other segment (blank,
-    # malformed, or holding another break such as CRLF's "\r") is split
-    # the way `str.splitlines` splits it and each of its lines is read alone.
-    number = 0
-    start = 0
-    size = len(text)
-    while start < size:
-        end = text.find("\n", start)
-        if end < 0:
-            end = size
-        match = match_record(text, start, end)
-        if match is not None:
-            number += 1
-            matches = (match,)
-        else:
-            matches = []
-            for line in text[start:end + 1].splitlines():
-                number += 1
-                match = match_record(line)
-                if match is not None:
-                    matches.append(match)
-                elif line.strip():
-                    raise ValueError(f"line {number}: {_layout_error(line)}")
-        start = end + 1
-        for match in matches:
-            (step, middle, daemon, phase, stage, before, after, action, h0, h1, h2, h3, h4,
-             masked, digests) = match.groups()
-            fields = middles.get(middle)
-            if fields is None:
-                fields = middles[middle] = (daemon, phase, int(stage), before, after, action)
-            if digests is not None:
-                shared = digest_sets.get(digests)
-                if shared is None:
-                    shared = digest_sets[digests] = tuple(digests.split(","))
-                digests = shared
-            records.append(TraceRecord(
-                int(step), *fields, (int(h0), int(h1), int(h2), int(h3), int(h4)),
-                masked is not None, digests))
+    for number, line in enumerate(text.splitlines(), start=1):
+        match = match_record(line)
+        if match is None:
+            if not line.strip():
+                continue
+            raise ValueError(f"line {number}: {_layout_error(line)}")
+        (step, middle, daemon, phase, stage, before, after, action, h0, h1, h2, h3, h4,
+         masked, digests) = match.groups()
+        fields = middles.get(middle)
+        if fields is None:
+            fields = middles[middle] = (daemon, phase, int(stage), before, after, action)
+        if digests is not None:
+            shared = digest_sets.get(digests)
+            if shared is None:
+                shared = digest_sets[digests] = tuple(digests.split(","))
+            digests = shared
+        records.append(TraceRecord(
+            int(step), *fields, (int(h0), int(h1), int(h2), int(h3), int(h4)),
+            masked is not None, digests))
     return records
 
 
