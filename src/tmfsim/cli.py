@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy, parse_script_file
 from .executor import (
@@ -180,25 +181,23 @@ def _print_result(result: RunResult, out) -> None:
         print(f"jam: {result.jam_reason}", file=out)
 
 
-def _write_trace(records, args, out) -> None:
-    """Stream the chosen records, one line at a time, to `--trace-out` or `out`."""
-    if args.trace == "off":
-        return
-    chosen = summarize(records) if args.trace == "summary" else records
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            render_trace(chosen, handle)
-    else:
-        render_trace(chosen, out)
+def _open_output(path: str):
+    """Open an output file for writing, before any work that would go into it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DefinitionError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _single_shot(compiled, word, args, out) -> int:
     policy = _make_policy(args)
     mask = MaskConfig(allow_failure_in_critical=args.allow_failure_in_critical)
     cfg = init_configuration(compiled, word, policy, mask)
-    result, records = run(cfg, max_steps=args.max_steps, with_digests=args.digests)
-    _print_result(result, out)
-    _write_trace(records, args, out)
+    with _open_output(args.trace_out) if args.trace_out else nullcontext(out) as trace_out:
+        result, records = run(cfg, max_steps=args.max_steps, with_digests=args.digests)
+        _print_result(result, out)
+        if args.trace != "off":
+            render_trace(summarize(records) if args.trace == "summary" else records, trace_out)
     return _OUTCOME_EXIT[result.outcome]
 
 
@@ -267,19 +266,14 @@ def main(argv: list[str] | None = None) -> int:
         print(" ".join(final), file=out)
         return EXIT_OK
 
-    compiled = compile_machine(machine)
-
-    if args.subcommand == "compile":
-        listing = emit_pi(compiled)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(listing)
-        else:
-            out.write(listing)
-        return EXIT_OK
-
-    assert args.subcommand == "run"
     try:
+        if args.subcommand == "compile":
+            with _open_output(args.output) if args.output else nullcontext(out) as listing:
+                listing.write(emit_pi(compile_machine(machine)))
+            return EXIT_OK
+
+        assert args.subcommand == "run"
+        compiled = compile_machine(machine)
         if args.sweep_fault_step:
             return _sweep(compiled, word, args, ACTIVE, out)
         if args.sweep_failure_step:

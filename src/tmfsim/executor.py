@@ -22,6 +22,7 @@ defined from step 0, whatever the daemon does.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .daemon import AlwaysPassive, DaemonPolicy, MaskConfig, decide
@@ -248,7 +249,7 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
                 rule = machine.gamma_map.get((state, read))
                 if rule is not None:
                     cfg.faults_injected += 1
-                    action = f"fault:{rule.render()}"
+                    action = sys.intern(f"fault:{rule.render()}")
             if rule is None:
                 rule = machine.delta_map.get((state, read))
                 if rule is None:

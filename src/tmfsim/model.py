@@ -8,6 +8,7 @@ position-tracking tapes use the fixed alphabet {"!", empty, "+"}.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 MARKER = "!"
@@ -288,14 +289,20 @@ class Tape:
 
 
 # Program-control variants. Stage #1 is represented by UserControl; the stage
-# records cover only the embedded machinery (#2..#7).
+# records cover only the embedded machinery (#2..#7). A control renders its
+# text once, when built, and interns it, so trace records with equal control
+# text share one string.
 
 @dataclass(frozen=True)
 class UserControl:
     state: str
+    _text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_text", sys.intern(f"user:{self.state}"))
 
     def render(self) -> str:
-        return f"user:{self.state}"
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -303,9 +310,14 @@ class StageControl:
     stage: int
     micro_pc: int
     resume: str
+    _text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_text",
+                           sys.intern(f"stage:{self.stage}/{self.micro_pc}/{self.resume}"))
 
     def render(self) -> str:
-        return f"stage:{self.stage}/{self.micro_pc}/{self.resume}"
+        return self._text
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ before stopping; cells beyond it are stale and invisible to every comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, field, replace
 
 from .model import (
     JamError,
@@ -107,10 +108,19 @@ MicroOp = Rewind | ScanCompare | ScanCopy | SeekPlus | MarkPlus | EnterUser | En
 
 @dataclass(frozen=True)
 class StageProgram:
-    """Ordered micro-ops plus the stage entered when the program runs out."""
+    """Ordered micro-ops plus the stage entered when the program runs out.
+
+    `actions` holds each op's trace action, `micro:<op>`, rendered once and
+    interned, so that the records of every step of an op share one string.
+    """
 
     ops: tuple[MicroOp, ...]
     done: int | None = None
+    actions: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "actions", tuple(sys.intern(f"micro:{op.render()}")
+                                                   for op in self.ops))
 
 
 @dataclass(frozen=True)
@@ -210,10 +220,10 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
     program = compiled.stage_programs[control.stage]
     if control.micro_pc >= len(program.ops):
         assert program.done is not None
-        return StageStep(_goto(program.done, control), f"micro:{program.ops[-1].render()}")
+        return StageStep(_goto(program.done, control), program.actions[-1])
 
     op = program.ops[control.micro_pc]
-    action = f"micro:{op.render()}"
+    action = program.actions[control.micro_pc]
     empty = compiled.base.alphabet.empty
 
     if isinstance(op, MarkPlus):

@@ -264,6 +264,28 @@ class TestRun:
                 wrong.append((k, result.final_master_word))
         assert wrong == []
 
+    def test_a_poisoned_halting_checkpoint_live_locks_through_the_summary_check(self):
+        """README "Undetectable faults": "If a checkpoint in the halting state
+        was already committed, recovery restores it, and the run live-locks
+        through the summary check instead." The fault erases cell 1 and keeps
+        the state; `q0 b -> qf 1 N *` then rewrites the cell, so the
+        computation check passes and commits `qf` while the reference is at
+        `q0`."""
+        compiled = compile_machine(validate_machine(BasicMachine(
+            states=("q0", "qf"), initial="q0", halting="qf",
+            alphabet=Alphabet("b", input=("1",)),
+            delta=(Rule("q0", "1", "q0", "1", "R", checkpoint=True),
+                   Rule("q0", "b", "qf", "1", "N", checkpoint=True)),
+            gamma=(Rule("q0", "1", "q0", "b", "N"),))))
+        cfg = init_configuration(compiled, ("1", "1"), ScriptPolicy({25: "active"}))
+        result, records = run(cfg, max_steps=3_480)
+        assert result.faults_injected == 1
+        assert result.outcome == "step-limit"
+        assert result.final_master_word == ("1", "1")
+        assert all(r.after != "shutdown" for r in records)
+        assert result.recoveries == 95
+        assert sum(r.action == "summary-recover" for r in records) == 95
+
     def test_recovery_restores_consistency(self, unary):
         compiled, word = unary
         k = first_user_step(compiled, word) + 1

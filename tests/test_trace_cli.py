@@ -126,6 +126,25 @@ class TestTraceFormat:
             previous = digests
         assert shared and renewed
 
+    @pytest.mark.parametrize("p_fault", [None, 0.05, 0.5],
+                             ids=["passive", "random", "fault-heavy"])
+    @pytest.mark.parametrize("name", MACHINE_NAMES)
+    def test_records_share_control_and_action_strings(self, compiled_corpus, name, p_fault):
+        """Records with equal `before`, `after` or `action` text hold the same
+        string object. The fault-heavy runs repeat fault actions."""
+        compiled, word = compiled_corpus[name]
+        policy = AlwaysPassive() if p_fault is None else RandomPolicy(p_fault, 0.01, 7)
+        _, records = run(init_configuration(compiled, word, policy), max_steps=5_000)
+        first = {}
+        for record in records:
+            for text in (record.before, record.after, record.action):
+                assert first.setdefault(text, text) is text
+
+    def test_program_actions_are_the_rendered_ops(self, compiled_corpus):
+        for compiled, _ in compiled_corpus.values():
+            for program in compiled.stage_programs.values():
+                assert program.actions == tuple(f"micro:{op.render()}" for op in program.ops)
+
     def test_parsed_records_share_equal_values(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
         code, _, _ = run_cli(["run", "-m", corpus_meta("succ"), "--daemon", "random",
@@ -289,6 +308,17 @@ class TestCliRun:
         assert err.startswith("error: ")
         assert out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["run", "-m", corpus_meta("unary"), "--trace", "full", "--trace-out"],
+        ["compile", "-m", corpus_meta("unary"), "-o"],
+    ], ids=["run-trace-out", "compile-output"])
+    def test_unwritable_output_is_an_error_before_any_work(self, tmp_path, capsys, args):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli([*args, str(path)], capsys)
+        assert code == 1
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+        assert out == ""
 
     @pytest.mark.parametrize("subcommand", ["run", "oracle"])
     def test_negative_max_steps_is_a_usage_error(self, capsys, subcommand):
