@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 from .daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy, parse_script_file
 from .executor import (
@@ -181,10 +181,17 @@ def _print_result(result: RunResult, out) -> None:
         print(f"jam: {result.jam_reason}", file=out)
 
 
-def _open_output(path: str):
-    """Open an output file for writing, before any work that would go into it."""
+@contextmanager
+def _output(path: str | None, default):
+    """Yield the file at `path`, opened for writing before any work that would
+    go into it, or `default` when no path is given. An OSError from opening,
+    writing or closing the file becomes `cannot write <path>: <reason>`."""
+    if not path:
+        yield default
+        return
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise DefinitionError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -193,7 +200,7 @@ def _single_shot(compiled, word, args, out) -> int:
     policy = _make_policy(args)
     mask = MaskConfig(allow_failure_in_critical=args.allow_failure_in_critical)
     cfg = init_configuration(compiled, word, policy, mask)
-    with _open_output(args.trace_out) if args.trace_out else nullcontext(out) as trace_out:
+    with _output(args.trace_out, out) as trace_out:
         result, records = run(cfg, max_steps=args.max_steps, with_digests=args.digests)
         _print_result(result, out)
         if args.trace != "off":
@@ -268,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.subcommand == "compile":
-            with _open_output(args.output) if args.output else nullcontext(out) as listing:
+            with _output(args.output, out) as listing:
                 listing.write(emit_pi(compile_machine(machine)))
             return EXIT_OK
 

@@ -9,7 +9,7 @@ position-tracking tapes use the fixed alphabet {"!", empty, "+"}.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 MARKER = "!"
 PLUS = "+"
@@ -113,20 +113,13 @@ class ValidationError(Exception):
 
 
 @dataclass(frozen=True)
-class ValidatedMachine:
+class ValidatedMachine(BasicMachine):
     """A BasicMachine certified to satisfy every static invariant.
 
     Carries lookup maps keyed by (state, read) so the executor and the
     reference interpreter can resolve transitions in O(1).
     """
 
-    states: tuple[str, ...]
-    initial: str
-    halting: str
-    alphabet: Alphabet
-    delta: tuple[Rule, ...]
-    gamma: tuple[Rule, ...]
-    description: str | None
     delta_map: dict[tuple[str, str], Rule] = field(repr=False, compare=False, default_factory=dict)
     gamma_map: dict[tuple[str, str], Rule] = field(repr=False, compare=False, default_factory=dict)
 
@@ -134,8 +127,11 @@ class ValidatedMachine:
 def validate_machine(raw: BasicMachine) -> ValidatedMachine:
     """Check every static invariant of a machine definition.
 
-    All violations are collected and reported together; a clean machine is
-    returned wrapped with its transition lookup maps.
+    This is the one place that decides what a definition means: the parser
+    reads only its syntax. All violations are collected and reported
+    together; a clean machine is returned with its transition lookup maps,
+    built from `raw`'s BasicMachine fields, so a ValidatedMachine may be
+    validated again.
     """
     issues: list[ValidationIssue] = []
 
@@ -154,7 +150,9 @@ def validate_machine(raw: BasicMachine) -> ValidatedMachine:
     seen: dict[str, str] = {alpha.empty: "empty"}
     for cls_name, tokens in (("input", alpha.input), ("internal", alpha.internal)):
         for tok in tokens:
-            if tok in seen:
+            if seen.get(tok) == cls_name:
+                bad("duplicate-symbol", f"symbol {tok!r} declared twice in {cls_name}")
+            elif tok in seen:
                 bad("overlapping-classes", f"symbol {tok!r} in both {seen[tok]} and {cls_name}")
             else:
                 seen[tok] = cls_name
@@ -209,17 +207,8 @@ def validate_machine(raw: BasicMachine) -> ValidatedMachine:
 
     if issues:
         raise ValidationError(issues)
-    return ValidatedMachine(
-        states=raw.states,
-        initial=raw.initial,
-        halting=raw.halting,
-        alphabet=raw.alphabet,
-        delta=raw.delta,
-        gamma=raw.gamma,
-        description=raw.description,
-        delta_map=delta_map,
-        gamma_map=gamma_map,
-    )
+    return ValidatedMachine(**{f.name: getattr(raw, f.name) for f in fields(BasicMachine)},
+                            delta_map=delta_map, gamma_map=gamma_map)
 
 
 class Tape:

@@ -7,7 +7,9 @@ A machine is described by a metafile whose rows name the other files:
 
 All formats are line oriented and UTF-8. Tokens are separated by whitespace,
 `#` starts a comment, blank lines are ignored, LF and CRLF both work. See the
-README for the full grammar of each file kind.
+README for the full grammar of each file kind. The parsers read syntax only;
+what the tokens mean (reserved or repeated symbols, unknown states and
+symbols, moves) is checked once, by `model.validate_machine`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .model import (
     ARROW,
     Alphabet,
     BasicMachine,
-    RESERVED_TOKENS,
     Rule,
     ValidatedMachine,
     validate_machine,
@@ -96,17 +97,13 @@ def parse_states_file(text: str) -> tuple[str, str, list[str]]:
 def parse_alphabet_file(text: str) -> Alphabet:
     """Parse an alphabet file into an Alphabet.
 
-    Lines are `empty <sym>`, `input <sym>...`, `internal <sym>...`. The
-    marker "!" is implicit and may not be declared.
+    Lines are `empty <sym>`, `input <sym>...`, `internal <sym>...`.
     """
     empty: str | None = None
     input_symbols: list[str] = []
     internal_symbols: list[str] = []
     for number, tokens in _content_lines(text):
         keyword, symbols = tokens[0], tokens[1:]
-        for sym in symbols:
-            if sym in RESERVED_TOKENS:
-                raise DefinitionError(f"reserved symbol {sym!r} may not be declared", line=number)
         if keyword == "empty":
             if empty is not None:
                 raise DefinitionError("duplicate section: empty", line=number)
@@ -122,27 +119,18 @@ def parse_alphabet_file(text: str) -> Alphabet:
                                   line=number)
     if empty is None:
         raise DefinitionError("missing section: empty")
-    declared = [empty, *input_symbols, *internal_symbols]
-    seen: set[str] = set()
-    for sym in declared:
-        if sym in seen:
-            raise DefinitionError(f"symbol {sym!r} declared in more than one class")
-        seen.add(sym)
     return Alphabet(empty=empty, input=tuple(input_symbols), internal=tuple(internal_symbols))
 
 
-def parse_transitions_file(text: str, states: set[str],
-                           alphabet: Alphabet) -> tuple[list[Rule], list[Rule]]:
+def parse_transitions_file(text: str) -> tuple[list[Rule], list[Rule]]:
     """Parse transition rows into (program rules, fault rules).
 
     Row grammar: `[fault] <from> <read> -> <to> <write> <L|R|N> [*]`.
     A trailing `*` marks a checkpoint; `fault` and `*` together are rejected.
-    Rule legality beyond syntax (determinism, fault-vs-normal distinctness)
-    is left to machine validation.
+    Whether the states, symbols and move exist is left to machine validation.
     """
     delta: list[Rule] = []
     gamma: list[Rule] = []
-    full = set(alphabet.full())
     for number, tokens in _content_lines(text):
         is_fault = tokens[0] == "fault"
         if is_fault:
@@ -156,14 +144,6 @@ def parse_transitions_file(text: str, states: set[str],
             raise DefinitionError(
                 "expected `[fault] <from> <read> -> <to> <write> <L|R|N> [*]`", line=number)
         from_state, read, _, to_state, write, move = tokens
-        for name in (from_state, to_state):
-            if name not in states:
-                raise DefinitionError(f"unknown state {name!r}", line=number)
-        for sym in (read, write):
-            if sym not in full:
-                raise DefinitionError(f"unknown symbol {sym!r}", line=number)
-        if move not in ("L", "R", "N"):
-            raise DefinitionError(f"bad move {move!r}, expected L, R or N", line=number)
         rule = Rule(from_state, read, to_state, write, move, checkpoint=is_checkpoint)
         (gamma if is_fault else delta).append(rule)
     return delta, gamma
@@ -238,8 +218,9 @@ def load_machine(metafile_path: str, row: int = 0) -> tuple[ValidatedMachine, tu
     """Load and validate the machine selected by one metafile row.
 
     Returns the validated machine and its input word. File paths in the
-    metafile are resolved relative to the metafile's directory. Parse and
-    validation problems are re-raised annotated with the source file.
+    metafile are resolved relative to the metafile's directory. A parse
+    error is re-raised annotated with its source file; a ValidationError
+    propagates as-is, with every issue of the definition.
     """
     entries = parse_metafile(_read_text(metafile_path))
     if not 0 <= row < len(entries):
@@ -247,42 +228,21 @@ def load_machine(metafile_path: str, row: int = 0) -> tuple[ValidatedMachine, tu
                               path=metafile_path)
     entry = entries[row]
     base = os.path.dirname(os.path.abspath(metafile_path))
-
-    def resolve(name: str) -> str:
-        return os.path.join(base, name)
-
     if entry.n_master_tapes != 1:
         raise DefinitionError("unsupported: multiple master tapes", path=metafile_path)
 
-    description = _read_text(resolve(entry.description_file))
+    def parse(name: str, parser, *args):
+        path = os.path.join(base, name)
+        try:
+            return parser(_read_text(path), *args)
+        except DefinitionError as exc:
+            raise DefinitionError(exc.message, path=path, line=exc.line) from None
 
-    def annotate(exc: DefinitionError, path: str) -> DefinitionError:
-        return DefinitionError(exc.message, path=path, line=exc.line)
-
-    path = resolve(entry.states_file)
-    try:
-        initial, halting, internal = parse_states_file(_read_text(path))
-    except DefinitionError as exc:
-        raise annotate(exc, path) from None
-
-    path = resolve(entry.alphabet_file)
-    try:
-        alphabet = parse_alphabet_file(_read_text(path))
-    except DefinitionError as exc:
-        raise annotate(exc, path) from None
-
-    states = {initial, halting, *internal}
-    path = resolve(entry.transitions_file)
-    try:
-        delta, gamma = parse_transitions_file(_read_text(path), states, alphabet)
-    except DefinitionError as exc:
-        raise annotate(exc, path) from None
-
-    path = resolve(entry.input_word_files[0])
-    try:
-        word = parse_word_file(_read_text(path), alphabet)
-    except DefinitionError as exc:
-        raise annotate(exc, path) from None
+    description = _read_text(os.path.join(base, entry.description_file))
+    initial, halting, internal = parse(entry.states_file, parse_states_file)
+    alphabet = parse(entry.alphabet_file, parse_alphabet_file)
+    delta, gamma = parse(entry.transitions_file, parse_transitions_file)
+    word = parse(entry.input_word_files[0], parse_word_file, alphabet)
 
     raw = BasicMachine(
         states=(initial, halting, *internal),
@@ -293,11 +253,10 @@ def load_machine(metafile_path: str, row: int = 0) -> tuple[ValidatedMachine, tu
         gamma=tuple(gamma),
         description=description,
     )
-    # ValidationError propagates as-is: it carries the full issue list.
     return validate_machine(raw), word
 
 
-def render_states_file(machine: BasicMachine | ValidatedMachine) -> str:
+def render_states_file(machine: BasicMachine) -> str:
     internal = [s for s in machine.states if s not in (machine.initial, machine.halting)]
     lines = [f"initial {machine.initial}", f"halting {machine.halting}"]
     if internal:
@@ -305,7 +264,7 @@ def render_states_file(machine: BasicMachine | ValidatedMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_alphabet_file(machine: BasicMachine | ValidatedMachine) -> str:
+def render_alphabet_file(machine: BasicMachine) -> str:
     alpha = machine.alphabet
     lines = [f"empty {alpha.empty}"]
     if alpha.input:
@@ -315,7 +274,7 @@ def render_alphabet_file(machine: BasicMachine | ValidatedMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_transitions_file(machine: BasicMachine | ValidatedMachine) -> str:
+def render_transitions_file(machine: BasicMachine) -> str:
     lines = [rule.render() for rule in machine.delta]
     lines += ["fault " + rule.render() for rule in machine.gamma]
     return "\n".join(lines) + "\n"

@@ -18,6 +18,16 @@ def corpus_meta(name: str) -> str:
     return str(CORPUS / f"{name}.meta")
 
 
+def write_definition(directory, alphabet="empty b\ninput 1\n", rules="q0 b -> qf b N\n",
+                     word="", states="initial q0\nhalting qf\n") -> str:
+    """Write a one-row machine definition into `directory`; return its metafile."""
+    files = {"m.desc": "demo\n", "m.states": states, "m.alpha": alphabet, "m.rules": rules,
+             "m.word": word, "meta": "m.desc 1 m.states m.alpha m.rules m.word\n"}
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    return str(directory / "meta")
+
+
 def tapes_equal_to_terminator(a: Tape, b: Tape, stop: str) -> bool:
     """Cell-wise equality from cell 0 up to the first shared `stop` symbol.
 

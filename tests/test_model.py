@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from tmfsim.model import (
     MARKER,
     Rule,
     Tape,
+    ValidatedMachine,
     ValidationError,
     validate_machine,
 )
@@ -89,6 +92,36 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             validate_machine(make_machine(APPEND_RULES, alphabet=alpha))
         assert any(i.code == "bad-symbol" for i in err.value.issues)
+
+
+    def test_symbol_in_two_classes(self):
+        alpha = Alphabet("b", input=("1",), internal=("1",))
+        with pytest.raises(ValidationError) as err:
+            validate_machine(make_machine(APPEND_RULES, alphabet=alpha))
+        assert [str(i) for i in err.value.issues] == [
+            "overlapping-classes: symbol '1' in both input and internal"]
+
+    def test_symbol_repeated_in_one_class(self):
+        alpha = Alphabet("b", input=("1", "1"))
+        with pytest.raises(ValidationError) as err:
+            validate_machine(make_machine(APPEND_RULES, alphabet=alpha))
+        assert [str(i) for i in err.value.issues] == [
+            "duplicate-symbol: symbol '1' declared twice in input"]
+
+    def test_bad_move(self):
+        with pytest.raises(ValidationError) as err:
+            validate_machine(make_machine((Rule("q0", "1", "q0", "1", "X"),)))
+        assert [i.code for i in err.value.issues] == ["bad-move"]
+
+    def test_revalidating_a_replaced_machine_rebuilds_its_maps(self):
+        machine = validate_machine(make_machine(APPEND_RULES))
+        rules = (Rule("q0", "1", "qf", "0", "N"),)
+        faults = (Rule("q0", "1", "qf", "1", "N"),)
+        again = validate_machine(replace(machine, delta=rules, gamma=faults))
+        assert isinstance(again, ValidatedMachine)
+        assert (again.delta, again.gamma) == (rules, faults)
+        assert again.delta_map == {("q0", "1"): rules[0]}
+        assert again.gamma_map == {("q0", "1"): faults[0]}
 
 
 class TestTape:

@@ -16,7 +16,14 @@ from tmfsim.parser import (
     render_word_file,
 )
 
-from conftest import corpus_meta
+from conftest import corpus_meta, write_definition
+
+
+def issues_of(metafile):
+    """The (code, message) pairs validation reports for a definition."""
+    with pytest.raises(ValidationError) as err:
+        load_machine(metafile)
+    return [(i.code, i.message) for i in err.value.issues]
 
 
 class TestStatesFile:
@@ -47,17 +54,17 @@ class TestAlphabetFile:
         assert parse_alphabet_file("empty b\ninput 0 1") == \
             Alphabet("b", input=("0", "1"), internal=())
 
-    def test_overlap_rejected(self):
-        with pytest.raises(DefinitionError, match="more than one class"):
-            parse_alphabet_file("empty b\ninput b")
+    def test_overlap_rejected(self, tmp_path):
+        meta = write_definition(tmp_path, alphabet="empty b\ninput b")
+        assert issues_of(meta) == [("overlapping-classes", "symbol 'b' in both empty and input")]
 
     def test_internal_symbols(self):
         alpha = parse_alphabet_file("empty b\ninput 0 1\ninternal X")
         assert alpha.internal == ("X",)
 
-    def test_reserved_marker_rejected(self):
-        with pytest.raises(DefinitionError, match="reserved"):
-            parse_alphabet_file("empty b\ninput ! 1")
+    def test_reserved_marker_rejected(self, tmp_path):
+        meta = write_definition(tmp_path, alphabet="empty b\ninput ! 1")
+        assert issues_of(meta) == [("bad-symbol", "input symbol: symbol '!' is reserved")]
 
     def test_missing_empty(self):
         with pytest.raises(DefinitionError, match="missing section: empty"):
@@ -65,44 +72,40 @@ class TestAlphabetFile:
 
 
 class TestTransitionsFile:
-    STATES = {"q0", "qf"}
-    ALPHA = Alphabet("b", input=("0", "1"))
-
-    def parse(self, text):
-        return parse_transitions_file(text, self.STATES, self.ALPHA)
-
     def test_plain_rule(self):
-        delta, gamma = self.parse("q0 1 -> q0 1 R")
+        delta, gamma = parse_transitions_file("q0 1 -> q0 1 R")
         assert len(delta) == 1 and not gamma
         assert not delta[0].checkpoint
 
     def test_checkpoint_mark(self):
-        delta, _ = self.parse("q0 b -> qf 1 N *")
+        delta, _ = parse_transitions_file("q0 b -> qf 1 N *")
         assert delta[0].checkpoint
 
     def test_fault_keyword(self):
-        delta, gamma = self.parse("fault q0 1 -> q0 0 R")
+        delta, gamma = parse_transitions_file("fault q0 1 -> q0 0 R")
         assert not delta and len(gamma) == 1
 
     def test_fault_with_checkpoint_rejected(self):
         with pytest.raises(DefinitionError, match="cannot be a checkpoint"):
-            self.parse("fault q0 1 -> q0 0 R *")
+            parse_transitions_file("fault q0 1 -> q0 0 R *")
 
-    def test_unknown_state(self):
-        with pytest.raises(DefinitionError, match="unknown state"):
-            self.parse("q9 1 -> q0 1 R")
+    def test_unknown_state(self, tmp_path):
+        meta = write_definition(tmp_path, rules="q9 1 -> q0 1 R")
+        assert issues_of(meta) == [
+            ("unknown-state", "program rule 'q9 1 -> q0 1 R': from-state 'q9' unknown")]
 
-    def test_unknown_symbol(self):
-        with pytest.raises(DefinitionError, match="unknown symbol"):
-            self.parse("q0 z -> q0 1 R")
+    def test_unknown_symbol(self, tmp_path):
+        meta = write_definition(tmp_path, rules="q0 z -> q0 1 R")
+        assert issues_of(meta) == [
+            ("unknown-symbol", "program rule 'q0 z -> q0 1 R': read symbol 'z' unknown")]
 
     def test_marker_can_be_read(self):
-        delta, _ = self.parse("q0 ! -> q0 ! R")
+        delta, _ = parse_transitions_file("q0 ! -> q0 ! R")
         assert delta[0].read == "!"
 
     def test_syntax_error_reports_line(self):
         with pytest.raises(DefinitionError) as err:
-            self.parse("q0 1 -> q0 1 R\nq0 1 q0 1 R")
+            parse_transitions_file("q0 1 -> q0 1 R\nq0 1 q0 1 R")
         assert err.value.line == 2
 
 
@@ -154,14 +157,10 @@ class TestLoadMachine:
             load_machine(str(tmp_path / "meta"))
 
     def test_word_with_non_input_symbol(self, tmp_path):
-        (tmp_path / "m.desc").write_text("demo\n")
-        (tmp_path / "m.states").write_text("initial q0\nhalting qf\n")
-        (tmp_path / "m.alpha").write_text("empty b\ninput 1\ninternal X\n")
-        (tmp_path / "m.rules").write_text("q0 1 -> qf 1 N\n")
-        (tmp_path / "m.word").write_text("1 X\n")
-        (tmp_path / "meta").write_text("m.desc 1 m.states m.alpha m.rules m.word\n")
+        meta = write_definition(tmp_path, alphabet="empty b\ninput 1\ninternal X\n",
+                                word="1 X\n")
         with pytest.raises(DefinitionError, match="unknown symbol 'X'") as err:
-            load_machine(str(tmp_path / "meta"))
+            load_machine(meta)
         assert err.value.path and err.value.path.endswith("m.word")
 
     def test_missing_file(self, tmp_path):
@@ -175,15 +174,12 @@ class TestLoadMachine:
             load_machine(str(tmp_path / "meta"))
 
     def test_multicharacter_symbols(self, tmp_path):
-        (tmp_path / "m.desc").write_text("multi-token symbols\n")
-        (tmp_path / "m.states").write_text("initial start\nhalting done\n")
-        (tmp_path / "m.alpha").write_text("empty blank\ninput one +\n")
-        (tmp_path / "m.rules").write_text(
-            "start one -> start + R *\nstart + -> start + R\n"
-            "start blank -> done one N\nfault start one -> start blank R\n")
-        (tmp_path / "m.word").write_text("one + one\n")
-        (tmp_path / "meta").write_text("m.desc 1 m.states m.alpha m.rules m.word\n")
-        machine, word = load_machine(str(tmp_path / "meta"))
+        meta = write_definition(
+            tmp_path, states="initial start\nhalting done\n",
+            alphabet="empty blank\ninput one +\n", word="one + one\n",
+            rules="start one -> start + R *\nstart + -> start + R\n"
+                  "start blank -> done one N\nfault start one -> start blank R\n")
+        machine, word = load_machine(meta)
         assert word == ("one", "+", "one")
         assert machine.delta_map[("start", "one")].write == "+"
         # the user-level "+" does not clash with the position-tape mark
@@ -194,17 +190,9 @@ class TestLoadMachine:
         assert result.final_master_word == run_basic_oracle(machine, word)
 
     def test_validation_errors_carry_all_issues(self, tmp_path):
-        (tmp_path / "m.desc").write_text("demo\n")
-        (tmp_path / "m.states").write_text("initial q0\nhalting qf\n")
-        (tmp_path / "m.alpha").write_text("empty b\ninput 1\n")
-        (tmp_path / "m.rules").write_text(
-            "q0 1 -> q0 1 R\nq0 1 -> qf 1 N\nfault q0 1 -> q0 1 R\n")
-        (tmp_path / "m.word").write_text("1\n")
-        (tmp_path / "meta").write_text("m.desc 1 m.states m.alpha m.rules m.word\n")
-        with pytest.raises(ValidationError) as err:
-            load_machine(str(tmp_path / "meta"))
-        codes = {i.code for i in err.value.issues}
-        assert "duplicate-rule" in codes
+        meta = write_definition(
+            tmp_path, rules="q0 1 -> q0 1 R\nq0 1 -> qf 1 N\nfault q0 1 -> q0 1 R\n")
+        assert "duplicate-rule" in {code for code, _ in issues_of(meta)}
 
     def test_row_selection(self):
         machine, word = load_machine(corpus_meta("unary").replace("unary.meta", "all.meta"),
@@ -221,7 +209,7 @@ def test_round_trip_through_renderers(name, corpus):
     rules_text = render_transitions_file(machine)
     initial, halting, internal = parse_states_file(states_text)
     alphabet = parse_alphabet_file(alpha_text)
-    delta, gamma = parse_transitions_file(rules_text, {initial, halting, *internal}, alphabet)
+    delta, gamma = parse_transitions_file(rules_text)
     assert (initial, halting) == (machine.initial, machine.halting)
     assert set(internal) == set(machine.states) - {machine.initial, machine.halting}
     assert alphabet == machine.alphabet
@@ -231,18 +219,11 @@ def test_round_trip_through_renderers(name, corpus):
 
 
 @given(text=st.text(max_size=200))
-@pytest.mark.parametrize("parse", (parse_states_file, parse_alphabet_file, parse_metafile))
+@pytest.mark.parametrize("parse", (parse_states_file, parse_alphabet_file,
+                                   parse_transitions_file, parse_metafile))
 def test_parsers_are_total(parse, text):
     """Arbitrary text either parses or raises a diagnostic, never crashes."""
     try:
         parse(text)
-    except DefinitionError:
-        pass
-
-
-@given(text=st.text(max_size=200))
-def test_transitions_parser_is_total(text):
-    try:
-        parse_transitions_file(text, {"q0", "qf"}, Alphabet("b", input=("1",)))
     except DefinitionError:
         pass

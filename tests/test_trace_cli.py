@@ -20,7 +20,7 @@ from tmfsim.trace import (
     tape_digest,
 )
 
-from conftest import CORPUS, MACHINE_NAMES, corpus_meta
+from conftest import CORPUS, MACHINE_NAMES, corpus_meta, write_definition
 
 GOOD_LINE = ("step=1\tdaemon=passive\tphase=program\tstage=1\tbefore=user:q0"
              "\tafter=user:q0\taction=normal\theads=1,1,0,0,1")
@@ -240,13 +240,9 @@ class TestCliRun:
         assert "error:" in err
 
     def test_run_jammed_exit_code(self, tmp_path, capsys):
-        (tmp_path / "m.desc").write_text("jams on purpose\n")
-        (tmp_path / "m.states").write_text("initial q0\nhalting qf\ninternal q1\n")
-        (tmp_path / "m.alpha").write_text("empty b\ninput 1\n")
-        (tmp_path / "m.rules").write_text("q0 1 -> q1 1 R\n")
-        (tmp_path / "m.word").write_text("1 1\n")
-        (tmp_path / "meta").write_text("m.desc 1 m.states m.alpha m.rules m.word\n")
-        code, out, _ = run_cli(["run", "-m", str(tmp_path / "meta")], capsys)
+        meta = write_definition(tmp_path, states="initial q0\nhalting qf\ninternal q1\n",
+                                rules="q0 1 -> q1 1 R\n", word="1 1\n")
+        code, out, _ = run_cli(["run", "-m", meta], capsys)
         assert code == 3
         assert "jammed" in out
 
@@ -319,6 +315,20 @@ class TestCliRun:
         assert code == 1
         assert err == f"error: cannot write {path}: No such file or directory\n"
         assert out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args, printed", [
+        (["run", "-m", corpus_meta("unary"), "--trace", "full", "--trace-out", "/dev/full"],
+         "outcome: shutdown\nword: 1 1 1\n"),
+        (["compile", "-m", corpus_meta("unary"), "-o", "/dev/full"], ""),
+    ], ids=["run-trace-out", "compile-output"])
+    def test_failed_write_is_an_error(self, capsys, args, printed):
+        """A write or close that fails after the file opened, as on a full
+        disk, ends in the same `error: cannot write` as a failed open."""
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert err == "error: cannot write /dev/full: No space left on device\n"
+        assert out.startswith(printed) and "step=" not in out and "\t" not in out
 
     @pytest.mark.parametrize("subcommand", ["run", "oracle"])
     def test_negative_max_steps_is_a_usage_error(self, capsys, subcommand):
@@ -394,17 +404,24 @@ class TestCliOther:
         assert "0 errors" in out
 
     def test_validate_reports_each_issue(self, tmp_path, capsys):
-        (tmp_path / "m.desc").write_text("broken\n")
-        (tmp_path / "m.states").write_text("initial q0\nhalting qf\n")
-        (tmp_path / "m.alpha").write_text("empty b\ninput 1\n")
-        (tmp_path / "m.rules").write_text(
-            "q0 1 -> q0 1 R\nq0 1 -> qf 1 N\nqf 1 -> q0 1 R\n")
-        (tmp_path / "m.word").write_text("1\n")
-        (tmp_path / "meta").write_text("m.desc 1 m.states m.alpha m.rules m.word\n")
-        code, out, err = run_cli(["validate", "-m", str(tmp_path / "meta")], capsys)
+        meta = write_definition(tmp_path,
+                                rules="q0 1 -> q0 1 R\nq0 1 -> qf 1 N\nqf 1 -> q0 1 R\n")
+        code, out, err = run_cli(["validate", "-m", meta], capsys)
         assert code == 1
         assert "2 error(s)" in out
         assert "duplicate-rule" in err and "halting-has-rules" in err
+
+    def test_validate_reports_every_static_issue_at_once(self, tmp_path, capsys):
+        meta = write_definition(tmp_path, alphabet="empty b\ninput 1 !\n",
+                                rules="q0 1 -> q9 1 R\nq0 b -> qf 1 X\n")
+        code, out, err = run_cli(["validate", "-m", meta], capsys)
+        assert code == 1
+        assert out == "3 error(s)\n"
+        assert err.splitlines() == [
+            "bad-symbol: input symbol: symbol '!' is reserved",
+            "unknown-state: program rule 'q0 1 -> q9 1 R': to-state 'q9' unknown",
+            "bad-move: program rule 'q0 b -> qf 1 X': move must be one of L R N",
+        ]
 
     def test_compile_is_deterministic(self, capsys):
         code1, out1, _ = run_cli(["compile", "-m", corpus_meta("unary")], capsys)
@@ -426,13 +443,8 @@ class TestCliOther:
         assert out.strip() == "1 1 0 0"
 
     def test_oracle_jam_exit_code(self, tmp_path, capsys):
-        (tmp_path / "m.desc").write_text("jams\n")
-        (tmp_path / "m.states").write_text("initial q0\nhalting qf\n")
-        (tmp_path / "m.alpha").write_text("empty b\ninput 1\n")
-        (tmp_path / "m.rules").write_text("")
-        (tmp_path / "m.word").write_text("1\n")
-        (tmp_path / "meta").write_text("m.desc 1 m.states m.alpha m.rules m.word\n")
-        code, _, err = run_cli(["oracle", "-m", str(tmp_path / "meta")], capsys)
+        meta = write_definition(tmp_path, rules="", word="1\n")
+        code, _, err = run_cli(["oracle", "-m", meta], capsys)
         assert code == 3
         assert "no rule" in err
 
