@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy, parse_script_file
 from .executor import (
@@ -181,6 +181,17 @@ def _print_result(result: RunResult, out) -> None:
         print(f"jam: {result.jam_reason}", file=out)
 
 
+def _stdout_error(exc: OSError) -> DefinitionError:
+    """`cannot write standard output: <reason>`. What standard output still
+    holds is sent to the null device, so that the interpreter's own flush at
+    exit does not fail on it again."""
+    with suppress(OSError, ValueError):
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    return DefinitionError(f"cannot write standard output: {exc.strerror or exc}")
+
+
 @contextmanager
 def _output(path: str | None, default):
     """Yield the file at `path`, opened for writing before any work that would
@@ -202,7 +213,11 @@ def _single_shot(compiled, word, args, out) -> int:
     cfg = init_configuration(compiled, word, policy, mask)
     with _output(args.trace_out, out) as trace_out:
         result, records = run(cfg, max_steps=args.max_steps, with_digests=args.digests)
-        _print_result(result, out)
+        try:
+            _print_result(result, out)
+        except OSError as exc:
+            # Not the trace file's, which is all `_output` may name.
+            raise _stdout_error(exc) from None
         if args.trace != "off":
             render_trace(summarize(records) if args.trace == "summary" else records, trace_out)
     return _OUTCOME_EXIT[result.outcome]
@@ -240,7 +255,23 @@ def _sweep(compiled, word, args, choice: str, out) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    out = sys.stdout
+    try:
+        code = _command(args, sys.stdout)
+        # What is still buffered is written here, where a failure can be
+        # reported, rather than by the interpreter at exit.
+        sys.stdout.flush()
+    except OSError as exc:
+        # `_output` names its own file's errors, so this one is stdout's.
+        error = _stdout_error(exc)
+    except DefinitionError as exc:
+        error = exc
+    else:
+        return code
+    print(f"error: {error}", file=sys.stderr)
+    return EXIT_ERROR
+
+
+def _command(args: argparse.Namespace, out) -> int:
     conflict = _flag_conflict(args) if args.subcommand == "run" else None
     if conflict:
         print(f"error: {conflict}", file=sys.stderr)
@@ -273,22 +304,18 @@ def main(argv: list[str] | None = None) -> int:
         print(" ".join(final), file=out)
         return EXIT_OK
 
-    try:
-        if args.subcommand == "compile":
-            with _output(args.output, out) as listing:
-                listing.write(emit_pi(compile_machine(machine)))
-            return EXIT_OK
+    if args.subcommand == "compile":
+        with _output(args.output, out) as listing:
+            listing.write(emit_pi(compile_machine(machine)))
+        return EXIT_OK
 
-        assert args.subcommand == "run"
-        compiled = compile_machine(machine)
-        if args.sweep_fault_step:
-            return _sweep(compiled, word, args, ACTIVE, out)
-        if args.sweep_failure_step:
-            return _sweep(compiled, word, args, AGGRESSIVE, out)
-        return _single_shot(compiled, word, args, out)
-    except DefinitionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    assert args.subcommand == "run"
+    compiled = compile_machine(machine)
+    if args.sweep_fault_step:
+        return _sweep(compiled, word, args, ACTIVE, out)
+    if args.sweep_failure_step:
+        return _sweep(compiled, word, args, AGGRESSIVE, out)
+    return _single_shot(compiled, word, args, out)
 
 
 if __name__ == "__main__":

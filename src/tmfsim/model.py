@@ -9,6 +9,7 @@ position-tracking tapes use the fixed alphabet {"!", empty, "+"}.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 MARKER = "!"
@@ -156,6 +157,11 @@ def validate_machine(raw: BasicMachine) -> ValidatedMachine:
                 bad("overlapping-classes", f"symbol {tok!r} in both {seen[tok]} and {cls_name}")
             else:
                 seen[tok] = cls_name
+
+    # An initial state that is also the halting one is one state in two roles.
+    for name, count in Counter(raw.states).items():
+        if count > (2 if name == raw.initial == raw.halting else 1):
+            bad("duplicate-state", f"state {name!r} declared more than once")
 
     state_set = set(raw.states)
     for role, name in (("initial", raw.initial), ("halting", raw.halting)):

@@ -49,14 +49,15 @@ class TraceRecord:
 
 # Integers are written in canonical decimal form, the only form parsed back;
 # text values are anything but a tab, with no comma inside the digest list.
-# The six fields from `daemon` to `action` also form one group, so that
+# `_RECORD` captures five texts: the step, the six fields from `daemon` to
+# `action` as one run, the heads, `masked` and the digests, so that
 # `parse_trace` splits each distinct run of them only once. A line in any
 # other layout fails to match, and `_layout_error` says why.
 _INT = "0|[1-9][0-9]*"
 _TEXT = "[^\t]*"
-_MIDDLE = "\t".join(f"{key}=({_INT if key == 'stage' else _TEXT})" for key in _KEYS[1:7])
-_HEADS = ",".join([f"({_INT})"] * 5)
-_RECORD = re.compile(f"step=({_INT})\t({_MIDDLE})\theads={_HEADS}"
+_MIDDLE = "\t".join(f"{key}=(?:{_INT if key == 'stage' else _TEXT})" for key in _KEYS[1:7])
+_HEADS = ",".join([f"(?:{_INT})"] * 5)
+_RECORD = re.compile(f"step=({_INT})\t({_MIDDLE})\theads=({_HEADS})"
                      "(\tmasked=1)?(?:\tdigests=([^\t,]*(?:,[^\t,]*){4}))?")
 
 
@@ -77,32 +78,58 @@ def parse_trace(text: str) -> list[TraceRecord]:
     than `TraceRecord.render` writes raises `ValueError` naming its line
     number.
 
-    Records with equal `daemon`..`action` fields, or equal digests, share
-    those values: each distinct text is split once per call.
+    Records with equal `daemon`..`action` fields, equal heads or equal
+    digests share those values: each distinct text is split once per call.
     """
     records = []
+    append = records.append
     middles: dict[str, tuple[str, str, int, str, str, str]] = {}
+    head_sets: dict[str, tuple[int, ...]] = {}
     digest_sets: dict[str, tuple[str, ...]] = {}
     match_record = _RECORD.fullmatch
+    # Records are filled through their slot descriptors rather than built by
+    # the frozen dataclass `__init__`, which costs a global lookup and an
+    # `object.__setattr__` call per field. A `__post_init__` added to
+    # `TraceRecord` would be skipped here.
+    new = object.__new__
+    (set_step, set_daemon, set_phase, set_stage, set_before, set_after, set_action,
+     set_heads, set_masked, set_digests) = [getattr(TraceRecord, key).__set__ for key in _KEYS]
     for number, line in enumerate(text.splitlines(), start=1):
         match = match_record(line)
         if match is None:
             if not line.strip():
                 continue
             raise ValueError(f"line {number}: {_layout_error(line)}")
-        (step, middle, daemon, phase, stage, before, after, action, h0, h1, h2, h3, h4,
-         masked, digests) = match.groups()
+        step, middle, heads, masked, digests = match.groups()
         fields = middles.get(middle)
         if fields is None:
+            # The match guarantees six tab-free `key=value` chunks whose keys
+            # hold no `=`; values may.
+            daemon, phase, stage, before, after, action = [
+                chunk.partition("=")[2] for chunk in middle.split("\t")]
             fields = middles[middle] = (daemon, phase, int(stage), before, after, action)
+        shared = head_sets.get(heads)
+        if shared is None:
+            shared = head_sets[heads] = tuple(map(int, heads.split(",")))
+        heads = shared
         if digests is not None:
             shared = digest_sets.get(digests)
             if shared is None:
                 shared = digest_sets[digests] = tuple(digests.split(","))
             digests = shared
-        records.append(TraceRecord(
-            int(step), *fields, (int(h0), int(h1), int(h2), int(h3), int(h4)),
-            masked is not None, digests))
+        daemon, phase, stage, before, after, action = fields
+        record = new(TraceRecord)
+        set_step(record, int(step))
+        set_daemon(record, daemon)
+        set_phase(record, phase)
+        set_stage(record, stage)
+        set_before(record, before)
+        set_after(record, after)
+        set_action(record, action)
+        set_heads(record, heads)
+        set_masked(record, masked is not None)
+        set_digests(record, digests)
+        append(record)
     return records
 
 

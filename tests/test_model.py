@@ -108,6 +108,15 @@ class TestValidation:
         assert [str(i) for i in err.value.issues] == [
             "duplicate-symbol: symbol '1' declared twice in input"]
 
+    def test_initial_state_may_also_halt(self):
+        """One state in the initial and halting roles is listed once per role."""
+        for states in (("q0", "q0"), ("q0",)):
+            validate_machine(make_machine((), states=states, initial="q0", halting="q0"))
+        with pytest.raises(ValidationError) as err:
+            validate_machine(make_machine((), states=("q0", "q0", "q0"), initial="q0",
+                                          halting="q0"))
+        assert [i.code for i in err.value.issues] == ["duplicate-state"]
+
     def test_bad_move(self):
         with pytest.raises(ValidationError) as err:
             validate_machine(make_machine((Rule("q0", "1", "q0", "1", "X"),)))

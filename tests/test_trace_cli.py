@@ -1,7 +1,9 @@
 import io
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -154,16 +156,57 @@ class TestTraceFormat:
         assert code == 0
         records = parse_trace(path.read_text())
         first_digests = {}
+        first_heads = {}
         first_middle = {}
         for record in records:
             digests = first_digests.setdefault(record.digests, record.digests)
             assert record.digests is digests
+            assert record.heads is first_heads.setdefault(record.heads, record.heads)
             middle = (record.daemon, record.phase, record.stage, record.before,
                       record.after, record.action)
             for value, first in zip(middle, first_middle.setdefault(middle, middle)):
                 assert value is first
         assert len(first_digests) < len(records) / 2
+        assert len(first_heads) < len(records)
         assert len(first_middle) < len(records) / 2
+
+    @pytest.mark.parametrize("mode", ["full", "summary"])
+    @pytest.mark.parametrize("allow", [False, True], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("name", MACHINE_NAMES)
+    def test_parsed_records_behave_as_built_ones(self, compiled_corpus, name, allow, mode):
+        """Records that `parse_trace` fills in through their slots equal the
+        executor's, hash and print alike, and copy and pickle as they do."""
+        compiled, word = compiled_corpus[name]
+        for with_digests in (False, True):
+            cfg = init_configuration(compiled, word, RandomPolicy(0.1, 0.05, 3),
+                                     MaskConfig(allow_failure_in_critical=allow))
+            _, records = run(cfg, max_steps=5_000, with_digests=with_digests)
+            if mode == "summary":
+                records = summarize(records)
+            parsed = parse_trace(render_trace(records))
+            assert parsed == records
+            assert [hash(record) for record in parsed] == [hash(record) for record in records]
+            assert [repr(record) for record in parsed] == [repr(record) for record in records]
+            assert pickle.loads(pickle.dumps(parsed)) == records
+            for record in parsed:
+                assert replace(record) == record
+                assert replace(record, step=record.step + 1).step == record.step + 1
+            with pytest.raises(FrozenInstanceError):
+                parsed[0].step = 0
+
+    def test_parse_trace_fills_every_field(self):
+        """`parse_trace` builds records without `TraceRecord.__init__`, so a
+        `__post_init__` would be skipped and a field it does not set would be
+        left empty: there is no such check, and every field is set."""
+        assert not hasattr(TraceRecord, "__post_init__")
+        for line, masked, digests in ((GOOD_LINE, False, None),
+                                      (GOOD_LINE + "\tmasked=1\tdigests=a,b=,c,d,e", True,
+                                       ("a", "b=", "c", "d", "e"))):
+            record = parse_trace(line)[0]
+            assert {f.name: getattr(record, f.name) for f in fields(TraceRecord)} == {
+                "step": 1, "daemon": "passive", "phase": "program", "stage": 1,
+                "before": "user:q0", "after": "user:q0", "action": "normal",
+                "heads": (1, 1, 0, 0, 1), "masked": masked, "digests": digests}
 
     @pytest.mark.parametrize("allow", [False, True], ids=["masked", "unmasked"])
     @pytest.mark.parametrize("name", MACHINE_NAMES)
@@ -330,6 +373,27 @@ class TestCliRun:
         assert err == "error: cannot write /dev/full: No space left on device\n"
         assert out.startswith(printed) and "step=" not in out and "\t" not in out
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args, to_file", [
+        (["run", "-m", corpus_meta("unary"), "--trace", "full"], False),
+        (["run", "-m", corpus_meta("unary"), "--trace", "full"], True),
+        (["run", "-m", corpus_meta("unary")], False),
+        (["validate", "-m", corpus_meta("unary")], False),
+        (["oracle", "-m", corpus_meta("unary")], False),
+    ], ids=["trace", "trace-out", "outcome", "validate", "oracle"])
+    def test_failed_stdout_write_is_an_error(self, tmp_path, args, to_file, buffered):
+        """A full standard output is named as such, not as the trace file,
+        and ends the process with no traceback or complaint at exit, whether
+        the few bytes of a short output fail in `main`'s flush or at once."""
+        path = tmp_path / "trace.txt"
+        with open("/dev/full", "w") as full:
+            proc = tmfsim_process(args + ["--trace-out", str(path)] if to_file else args,
+                                  unbuffered=not buffered, stdout=full,
+                                  stderr=subprocess.PIPE)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write standard output: No space left on device\n"
+
     @pytest.mark.parametrize("subcommand", ["run", "oracle"])
     def test_negative_max_steps_is_a_usage_error(self, capsys, subcommand):
         with pytest.raises(SystemExit) as exc:
@@ -423,6 +487,19 @@ class TestCliOther:
             "bad-move: program rule 'q0 b -> qf 1 X': move must be one of L R N",
         ]
 
+    @pytest.mark.parametrize("states, repeated", [
+        ("initial q0\nhalting qf\ninternal q0 qf q1 q1\n", ["q0", "qf", "q1"]),
+        ("initial q0\nhalting q0\n", []),
+    ], ids=["repeated", "initial-is-halting"])
+    def test_validate_repeated_states(self, tmp_path, capsys, states, repeated):
+        """A state named twice is an error; one state as both initial and
+        halting is one state in two roles."""
+        meta = write_definition(tmp_path, states=states, rules="")
+        code, out, err = run_cli(["validate", "-m", meta], capsys)
+        assert (code, out) == ((1, "3 error(s)\n") if repeated else (0, "0 errors\n"))
+        assert err.splitlines() == [f"duplicate-state: state {name!r} declared more than once"
+                                    for name in repeated]
+
     def test_compile_is_deterministic(self, capsys):
         code1, out1, _ = run_cli(["compile", "-m", corpus_meta("unary")], capsys)
         code2, out2, _ = run_cli(["compile", "-m", corpus_meta("unary")], capsys)
@@ -463,12 +540,20 @@ def test_color_disabled_for_pipes_and_by_env(monkeypatch):
     assert _paint("shutdown", True, io.StringIO()) == "shutdown"
 
 
-def test_cli_entry_point_subprocess():
+def tmfsim_process(args, unbuffered=False, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m tmfsim` with `args` on this checkout's sources, with
+    standard output buffered as usual unless `unbuffered`."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "tmfsim", "run", "-m", corpus_meta("unary")],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "tmfsim", *args],
+                          text=True, env=env, timeout=60, **kwargs)
+
+
+def test_cli_entry_point_subprocess():
+    proc = tmfsim_process(["run", "-m", corpus_meta("unary")], capture_output=True)
     assert proc.returncode == 0
     assert "word: 1 1 1" in proc.stdout
