@@ -14,7 +14,6 @@ from .daemon import (
     RandomPolicy,
     ScriptPolicy,
     decide,
-    parse_script_file,
 )
 from .executor import (
     Configuration,
@@ -38,7 +37,7 @@ from .model import (
     ValidationError,
     validate_machine,
 )
-from .parser import DefinitionError, load_machine
+from .parser import DefinitionError, load_machine, load_script, parse_script_file
 from .stages import CompiledMachine, PlusNotFound, compile_machine, emit_pi
 from .trace import TraceRecord, parse_trace, render_trace
 
@@ -72,6 +71,7 @@ __all__ = [
     "emit_pi",
     "init_configuration",
     "load_machine",
+    "load_script",
     "parse_script_file",
     "parse_trace",
     "render_trace",

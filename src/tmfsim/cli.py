@@ -13,7 +13,7 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 
-from .daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy, parse_script_file
+from .daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy
 from .executor import (
     DEFAULT_MAX_STEPS,
     OracleStepLimit,
@@ -23,7 +23,7 @@ from .executor import (
     run_basic_oracle,
 )
 from .model import ACTIVE, AGGRESSIVE, JamError, ValidationError
-from .parser import DefinitionError, load_machine
+from .parser import DefinitionError, load_machine, load_script
 from .stages import compile_machine, emit_pi
 from .trace import render_trace, summarize
 
@@ -120,7 +120,7 @@ def _flag_conflict(args: argparse.Namespace) -> str | None:
     """Why the flags of a `run` do not go together, or None if they do. A
     sweep runs its own single-event schedules untraced, `--trace off`
     writes nothing, and each daemon reads only its own flags, so flags they
-    would ignore are refused."""
+    would ignore are refused; the script daemon needs its schedule file."""
     if args.sweep_fault_step and args.sweep_failure_step:
         return "--sweep-fault-step and --sweep-failure-step cannot be combined"
     if args.sweep_fault_step or args.sweep_failure_step:
@@ -146,27 +146,20 @@ def _flag_conflict(args: argparse.Namespace) -> str | None:
         if given and args.daemon != reader]
     if ignored:
         return f"--daemon {args.daemon} does not take {', '.join(ignored)}"
+    if args.daemon == "script" and not args.daemon_script:
+        return "--daemon script requires --daemon-script <path>"
     return None
 
 
 def _make_policy(args: argparse.Namespace):
     if args.daemon == "passive":
         return AlwaysPassive()
-    if args.daemon == "random":
-        try:
-            return RandomPolicy(args.p_fault, args.p_failure, args.seed)
-        except ValueError as exc:
-            raise DefinitionError(str(exc)) from None
-    if not args.daemon_script:
-        raise DefinitionError("--daemon script requires --daemon-script <path>")
+    if args.daemon == "script":
+        return load_script(args.daemon_script)
     try:
-        with open(args.daemon_script, encoding="utf-8") as handle:
-            return parse_script_file(handle.read())
-    except OSError as exc:
-        raise DefinitionError(f"cannot read script: {exc.strerror or exc}",
-                              path=args.daemon_script) from None
+        return RandomPolicy(args.p_fault, args.p_failure, args.seed)
     except ValueError as exc:
-        raise DefinitionError(str(exc), path=args.daemon_script) from None
+        raise DefinitionError(str(exc)) from None
 
 
 def _print_result(result: RunResult, out) -> None:

@@ -89,24 +89,3 @@ def decide(policy: DaemonPolicy, step_index: int, in_critical_section: bool,
         return PASSIVE, True
     return choice, False
 
-
-def parse_script_file(text: str) -> ScriptPolicy:
-    """Parse a schedule file: one `<step> <active|aggressive>` per line."""
-    schedule: dict[int, str] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        tokens = body.split()
-        if len(tokens) != 2:
-            raise ValueError(f"line {number}: expected `<step> <active|aggressive>`")
-        try:
-            step = int(tokens[0])
-        except ValueError:
-            raise ValueError(f"line {number}: bad step index {tokens[0]!r}") from None
-        if tokens[1] not in (ACTIVE, AGGRESSIVE):
-            raise ValueError(f"line {number}: bad choice {tokens[1]!r}")
-        if step in schedule:
-            raise ValueError(f"line {number}: duplicate step {step}")
-        schedule[step] = tokens[1]
-    return ScriptPolicy(schedule)

@@ -1,15 +1,16 @@
-"""Parsers and renderers for the machine definition files.
+"""Parsers for the input files: machine definitions and daemon schedules.
 
 A machine is described by a metafile whose rows name the other files:
 
     <description-file> <n-master-tapes> <states-file> <alphabet-file> \
         <transitions-file> <word-file>...
 
-All formats are line oriented and UTF-8. Tokens are separated by whitespace,
-`#` starts a comment, blank lines are ignored, LF and CRLF both work. See the
-README for the full grammar of each file kind. The parsers read syntax only;
-what the tokens mean (reserved or repeated symbols, unknown states and
-symbols, moves) is checked once, by `model.validate_machine`.
+A schedule file for the script daemon holds `<step> <active|aggressive>`
+lines. All formats are line oriented and UTF-8. Tokens are separated by
+whitespace, `#` starts a comment, blank lines are ignored, LF and CRLF both
+work. See the README for the full grammar of each file kind. The parsers read
+syntax only; what the tokens mean (reserved or repeated symbols, unknown
+states and symbols, moves) is checked once, by `model.validate_machine`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .daemon import ScriptPolicy
 from .model import (
+    ACTIVE,
+    AGGRESSIVE,
     ARROW,
     Alphabet,
     BasicMachine,
@@ -27,8 +31,8 @@ from .model import (
 )
 
 
-class DefinitionError(Exception):
-    """A definition file could not be read or parsed.
+class DefinitionError(ValueError):
+    """An input file could not be read or parsed.
 
     Carries the offending path (when known) and 1-based line number so the
     CLI can point at the problem.
@@ -59,39 +63,39 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+def _sections(text: str, single: tuple[str, ...], listed: tuple[str, ...],
+              noun: str) -> dict:
+    """Parse `<keyword> <name>...` lines into keyword -> value. Each `single`
+    keyword must appear exactly once with one `noun`; each `listed` keyword
+    may repeat, and its names accumulate in a list."""
+    sections: dict = {keyword: [] for keyword in listed}
+    for number, tokens in _content_lines(text):
+        keyword, names = tokens[0], tokens[1:]
+        if keyword in single:
+            if keyword in sections:
+                raise DefinitionError(f"duplicate section: {keyword}", line=number)
+            if len(names) != 1:
+                raise DefinitionError(f"{keyword} expects exactly one {noun}", line=number)
+            sections[keyword] = names[0]
+        elif keyword in listed:
+            sections[keyword].extend(names)
+        else:
+            raise DefinitionError(
+                f"bad token {keyword!r}, expected {'/'.join(single + listed)}", line=number)
+    for keyword in single:
+        if keyword not in sections:
+            raise DefinitionError(f"missing section: {keyword}")
+    return sections
+
+
 def parse_states_file(text: str) -> tuple[str, str, list[str]]:
     """Parse a states file into (initial, halting, internal states).
 
     Exactly one `initial` and one `halting` line are required; `internal`
     lines may repeat and accumulate.
     """
-    initial: str | None = None
-    halting: str | None = None
-    internal: list[str] = []
-    for number, tokens in _content_lines(text):
-        keyword, names = tokens[0], tokens[1:]
-        if keyword == "initial":
-            if initial is not None:
-                raise DefinitionError("duplicate section: initial", line=number)
-            if len(names) != 1:
-                raise DefinitionError("initial expects exactly one state name", line=number)
-            initial = names[0]
-        elif keyword == "halting":
-            if halting is not None:
-                raise DefinitionError("duplicate section: halting", line=number)
-            if len(names) != 1:
-                raise DefinitionError("halting expects exactly one state name", line=number)
-            halting = names[0]
-        elif keyword == "internal":
-            internal.extend(names)
-        else:
-            raise DefinitionError(f"bad token {keyword!r}, expected initial/halting/internal",
-                                  line=number)
-    if initial is None:
-        raise DefinitionError("missing section: initial")
-    if halting is None:
-        raise DefinitionError("missing section: halting")
-    return initial, halting, internal
+    states = _sections(text, ("initial", "halting"), ("internal",), "state name")
+    return states["initial"], states["halting"], states["internal"]
 
 
 def parse_alphabet_file(text: str) -> Alphabet:
@@ -99,27 +103,9 @@ def parse_alphabet_file(text: str) -> Alphabet:
 
     Lines are `empty <sym>`, `input <sym>...`, `internal <sym>...`.
     """
-    empty: str | None = None
-    input_symbols: list[str] = []
-    internal_symbols: list[str] = []
-    for number, tokens in _content_lines(text):
-        keyword, symbols = tokens[0], tokens[1:]
-        if keyword == "empty":
-            if empty is not None:
-                raise DefinitionError("duplicate section: empty", line=number)
-            if len(symbols) != 1:
-                raise DefinitionError("empty expects exactly one symbol", line=number)
-            empty = symbols[0]
-        elif keyword == "input":
-            input_symbols.extend(symbols)
-        elif keyword == "internal":
-            internal_symbols.extend(symbols)
-        else:
-            raise DefinitionError(f"bad token {keyword!r}, expected empty/input/internal",
-                                  line=number)
-    if empty is None:
-        raise DefinitionError("missing section: empty")
-    return Alphabet(empty=empty, input=tuple(input_symbols), internal=tuple(internal_symbols))
+    symbols = _sections(text, ("empty",), ("input", "internal"), "symbol")
+    return Alphabet(empty=symbols["empty"], input=tuple(symbols["input"]),
+                    internal=tuple(symbols["internal"]))
 
 
 def parse_transitions_file(text: str) -> tuple[list[Rule], list[Rule]]:
@@ -150,14 +136,16 @@ def parse_transitions_file(text: str) -> tuple[list[Rule], list[Rule]]:
 
 
 def parse_word_file(text: str, alphabet: Alphabet) -> tuple[str, ...]:
-    """Parse an input word: the first content line, symbols whitespace-separated.
+    """Parse an input word: one content line, symbols whitespace-separated.
 
-    A file with no content lines denotes the empty word. Every symbol must
-    belong to the input alphabet.
+    A file with no content lines denotes the empty word; a second content
+    line is an error. Every symbol must belong to the input alphabet.
     """
     lines = _content_lines(text)
     if not lines:
         return ()
+    if len(lines) > 1:
+        raise DefinitionError("the input word must be on one line", line=lines[1][0])
     number, tokens = lines[0]
     for sym in tokens:
         if sym not in alphabet.input:
@@ -204,6 +192,26 @@ def parse_metafile(text: str) -> list[MetafileEntry]:
     return entries
 
 
+def parse_script_file(text: str) -> ScriptPolicy:
+    """Parse a schedule file: one `<step> <active|aggressive>` per line."""
+    schedule: dict[int, str] = {}
+    for number, tokens in _content_lines(text):
+        if len(tokens) != 2:
+            raise DefinitionError("expected `<step> <active|aggressive>`", line=number)
+        try:
+            step = int(tokens[0])
+        except ValueError:
+            raise DefinitionError(f"bad step index {tokens[0]!r}", line=number) from None
+        if step < 0:
+            raise DefinitionError(f"negative step index {step}", line=number)
+        if tokens[1] not in (ACTIVE, AGGRESSIVE):
+            raise DefinitionError(f"bad choice {tokens[1]!r}", line=number)
+        if step in schedule:
+            raise DefinitionError(f"duplicate step {step}", line=number)
+        schedule[step] = tokens[1]
+    return ScriptPolicy(schedule)
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -214,15 +222,25 @@ def _read_text(path: str) -> str:
         raise DefinitionError(f"not valid UTF-8: {exc.reason}", path=path) from None
 
 
+def _parse_file(path: str, parse, *args):
+    """`parse(text, *args)` on the file at `path`; a DefinitionError it
+    raises is re-raised naming `path`."""
+    text = _read_text(path)
+    try:
+        return parse(text, *args)
+    except DefinitionError as exc:
+        raise DefinitionError(exc.message, path=path, line=exc.line) from None
+
+
 def load_machine(metafile_path: str, row: int = 0) -> tuple[ValidatedMachine, tuple[str, ...]]:
     """Load and validate the machine selected by one metafile row.
 
     Returns the validated machine and its input word. File paths in the
     metafile are resolved relative to the metafile's directory. A parse
-    error is re-raised annotated with its source file; a ValidationError
-    propagates as-is, with every issue of the definition.
+    error names its file; a ValidationError propagates as-is, with every
+    issue of the definition.
     """
-    entries = parse_metafile(_read_text(metafile_path))
+    entries = _parse_file(metafile_path, parse_metafile)
     if not 0 <= row < len(entries):
         raise DefinitionError(f"metafile has {len(entries)} row(s), row {row} requested",
                               path=metafile_path)
@@ -231,18 +249,14 @@ def load_machine(metafile_path: str, row: int = 0) -> tuple[ValidatedMachine, tu
     if entry.n_master_tapes != 1:
         raise DefinitionError("unsupported: multiple master tapes", path=metafile_path)
 
-    def parse(name: str, parser, *args):
-        path = os.path.join(base, name)
-        try:
-            return parser(_read_text(path), *args)
-        except DefinitionError as exc:
-            raise DefinitionError(exc.message, path=path, line=exc.line) from None
+    def resolve(name: str) -> str:
+        return os.path.join(base, name)
 
-    description = _read_text(os.path.join(base, entry.description_file))
-    initial, halting, internal = parse(entry.states_file, parse_states_file)
-    alphabet = parse(entry.alphabet_file, parse_alphabet_file)
-    delta, gamma = parse(entry.transitions_file, parse_transitions_file)
-    word = parse(entry.input_word_files[0], parse_word_file, alphabet)
+    description = _read_text(resolve(entry.description_file))
+    initial, halting, internal = _parse_file(resolve(entry.states_file), parse_states_file)
+    alphabet = _parse_file(resolve(entry.alphabet_file), parse_alphabet_file)
+    delta, gamma = _parse_file(resolve(entry.transitions_file), parse_transitions_file)
+    word = _parse_file(resolve(entry.input_word_files[0]), parse_word_file, alphabet)
 
     raw = BasicMachine(
         states=(initial, halting, *internal),
@@ -256,29 +270,7 @@ def load_machine(metafile_path: str, row: int = 0) -> tuple[ValidatedMachine, tu
     return validate_machine(raw), word
 
 
-def render_states_file(machine: BasicMachine) -> str:
-    internal = [s for s in machine.states if s not in (machine.initial, machine.halting)]
-    lines = [f"initial {machine.initial}", f"halting {machine.halting}"]
-    if internal:
-        lines.append("internal " + " ".join(internal))
-    return "\n".join(lines) + "\n"
-
-
-def render_alphabet_file(machine: BasicMachine) -> str:
-    alpha = machine.alphabet
-    lines = [f"empty {alpha.empty}"]
-    if alpha.input:
-        lines.append("input " + " ".join(alpha.input))
-    if alpha.internal:
-        lines.append("internal " + " ".join(alpha.internal))
-    return "\n".join(lines) + "\n"
-
-
-def render_transitions_file(machine: BasicMachine) -> str:
-    lines = [rule.render() for rule in machine.delta]
-    lines += ["fault " + rule.render() for rule in machine.gamma]
-    return "\n".join(lines) + "\n"
-
-
-def render_word_file(word: tuple[str, ...]) -> str:
-    return " ".join(word) + "\n"
+def load_script(path: str) -> ScriptPolicy:
+    """Load a schedule file for the script daemon. A parse error names the
+    file."""
+    return _parse_file(path, parse_script_file)

@@ -1,12 +1,12 @@
 import pytest
 
+from tmfsim import parse_script_file
 from tmfsim.daemon import (
     AlwaysPassive,
     MaskConfig,
     RandomPolicy,
     ScriptPolicy,
     decide,
-    parse_script_file,
 )
 
 MASK = MaskConfig()
@@ -87,3 +87,5 @@ def test_parse_script_file():
         parse_script_file("1 sleepy\n")
     with pytest.raises(ValueError, match="bad step"):
         parse_script_file("one active\n")
+    with pytest.raises(ValueError, match="line 1: negative step index -3"):
+        parse_script_file("-3 active\n")

@@ -7,13 +7,10 @@ from tmfsim.parser import (
     load_machine,
     parse_alphabet_file,
     parse_metafile,
+    parse_script_file,
     parse_states_file,
     parse_transitions_file,
     parse_word_file,
-    render_alphabet_file,
-    render_states_file,
-    render_transitions_file,
-    render_word_file,
 )
 
 from conftest import corpus_meta, write_definition
@@ -123,6 +120,15 @@ class TestWordFile:
         with pytest.raises(DefinitionError, match="unknown symbol 'X'"):
             parse_word_file("1 X", alpha)
 
+    def test_second_line_rejected(self, tmp_path):
+        with pytest.raises(DefinitionError) as err:
+            parse_word_file("1 1\n# more\n1 1 1 1\n", self.ALPHA)
+        assert err.value.line == 3
+        meta = write_definition(tmp_path, word="1 1\n1 1 1 1\n")
+        with pytest.raises(DefinitionError) as err:
+            load_machine(meta)
+        assert str(err.value).startswith(f"{tmp_path / 'm.word'}:2: ")
+
 
 class TestMetafile:
     def test_row_fields(self):
@@ -201,26 +207,10 @@ class TestLoadMachine:
         assert word == ("1", "0", "1", "1")
 
 
-@pytest.mark.parametrize("name", ("unary", "succ", "palin", "diverge"))
-def test_round_trip_through_renderers(name, corpus):
-    machine, word = corpus[name]
-    states_text = render_states_file(machine)
-    alpha_text = render_alphabet_file(machine)
-    rules_text = render_transitions_file(machine)
-    initial, halting, internal = parse_states_file(states_text)
-    alphabet = parse_alphabet_file(alpha_text)
-    delta, gamma = parse_transitions_file(rules_text)
-    assert (initial, halting) == (machine.initial, machine.halting)
-    assert set(internal) == set(machine.states) - {machine.initial, machine.halting}
-    assert alphabet == machine.alphabet
-    assert tuple(delta) == machine.delta
-    assert tuple(gamma) == machine.gamma
-    assert parse_word_file(render_word_file(word), alphabet) == word
-
-
 @given(text=st.text(max_size=200))
 @pytest.mark.parametrize("parse", (parse_states_file, parse_alphabet_file,
-                                   parse_transitions_file, parse_metafile))
+                                   parse_transitions_file, parse_metafile,
+                                   parse_script_file))
 def test_parsers_are_total(parse, text):
     """Arbitrary text either parses or raises a diagnostic, never crashes."""
     try:

@@ -348,6 +348,45 @@ class TestCliRun:
         assert out == ""
         assert not list(tmp_path.iterdir())
 
+    def test_script_daemon_without_a_schedule_is_refused_before_loading(self, capsys):
+        code, out, err = run_cli(["run", "-m", "no/such.meta", "--daemon", "script"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --daemon script requires --daemon-script <path>\n"
+
+    # Each input file, with a syntax error on its second line.
+    BAD_SECOND_LINE = {
+        "meta": "# one row\nm.desc 1 m.states m.alpha m.rules\n",
+        "m.states": "initial q0\nstates q1\nhalting qf\n",
+        "m.alpha": "empty b\nempty c\ninput 1\n",
+        "m.rules": "q0 b -> qf b N\nq0 1 qf 1 R\n",
+        "m.word": "1\n1 1\n",
+        "schedule": "3 active\n4 sleepy\n",
+    }
+
+    # What follows `error: <path>:` for each kind of problem.
+    PROBLEM_MESSAGE = {"syntax": "2: ", "missing": " cannot read file: ",
+                       "not-utf8": " not valid UTF-8: "}
+
+    @pytest.mark.parametrize("problem", list(PROBLEM_MESSAGE))
+    @pytest.mark.parametrize("name", list(BAD_SECOND_LINE))
+    def test_input_file_errors_name_their_file(self, tmp_path, capsys, name, problem):
+        """Every input file, the metafile and the daemon script included,
+        reports `<path>:<line>: ` or `<path>: ` and exits 1."""
+        meta = write_definition(tmp_path, word="1\n")
+        schedule = tmp_path / "schedule"
+        schedule.write_text("3 active\n")
+        bad = tmp_path / name
+        if problem == "syntax":
+            bad.write_text(self.BAD_SECOND_LINE[name])
+        elif problem == "missing":
+            bad.unlink()
+        else:
+            bad.write_bytes(b"\xff\n")
+        code, out, err = run_cli(["run", "-m", meta, "--daemon", "script",
+                                  "--daemon-script", str(schedule)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}:{self.PROBLEM_MESSAGE[problem]}")
+
     @pytest.mark.parametrize("args", [
         ["run", "-m", corpus_meta("unary"), "--trace", "full", "--trace-out"],
         ["compile", "-m", corpus_meta("unary"), "-o"],
