@@ -22,7 +22,7 @@ from .executor import (
     run,
     run_basic_oracle,
 )
-from .model import ACTIVE, AGGRESSIVE, JamError, ValidationError
+from .model import ACTIVE, AGGRESSIVE, JamError, ValidationError, read_count
 from .parser import DefinitionError, load_machine, load_script
 from .stages import compile_machine, emit_pi
 from .trace import render_trace, summarize
@@ -49,20 +49,19 @@ def _paint(text: str, good: bool, stream) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
+def _count(text: str) -> int:
+    """The argparse type of `--max-steps` and `--row`: `text` as
+    `model.read_count` reads it, or a usage error saying why not."""
+    try:
+        return read_count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"must not be negative: {text}" if text[:1] == "-" else str(exc)) from None
+
+
 def _add_common(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("-m", "--metafile", required=True, help="machine metafile")
-    cmd.add_argument("--row", type=int, default=0, help="metafile row to use (default 0)")
-
-
-def _step_budget(text: str) -> int:
-    """`--max-steps`: an int, not negative."""
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {budget}")
-    return budget
+    cmd.add_argument("--row", type=_count, default=0, help="metafile row to use (default 0)")
 
 
 def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
@@ -73,7 +72,7 @@ def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--daemon-script", help="schedule file for --daemon script")
     cmd.add_argument("--allow-failure-in-critical", action="store_true",
                      help="let failures strike during backup/recovery stages")
-    cmd.add_argument("--max-steps", type=_step_budget, default=DEFAULT_MAX_STEPS)
+    cmd.add_argument("--max-steps", type=_count, default=DEFAULT_MAX_STEPS)
     cmd.add_argument("--trace", choices=("off", "summary", "full"), default="off")
     cmd.add_argument("--trace-out", help="write the trace here instead of stdout")
     cmd.add_argument("--digests", action="store_true",
@@ -112,7 +111,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("oracle", help="run the plain single-tape machine")
     _add_common(cmd)
-    cmd.add_argument("--max-steps", type=_step_budget, default=DEFAULT_MAX_STEPS)
+    cmd.add_argument("--max-steps", type=_count, default=DEFAULT_MAX_STEPS)
     return top
 
 

@@ -8,6 +8,7 @@ position-tracking tapes use the fixed alphabet {"!", empty, "+"}.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -40,6 +41,21 @@ def check_symbol_token(token: str) -> str | None:
     if token in RESERVED_TOKENS:
         return f"symbol {token!r} is reserved"
     return None
+
+
+# The one integer syntax of every input: schedules, metafiles, flags, traces.
+COUNT_PATTERN = "0|[1-9][0-9]*"
+
+
+def read_count(text: str) -> int:
+    """The integer `text` in `COUNT_PATTERN`'s syntax: `0`, or ASCII digits
+    with no sign, separator, space or leading zero. Other text raises
+    ValueError: `int()`'s own message for a non-number, else
+    `non-canonical integer '<text>'`."""
+    if re.fullmatch(COUNT_PATTERN, text) is None:
+        int(text)
+        raise ValueError(f"non-canonical integer {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)

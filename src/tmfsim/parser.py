@@ -8,9 +8,10 @@ A machine is described by a metafile whose rows name the other files:
 A schedule file for the script daemon holds `<step> <active|aggressive>`
 lines. All formats are line oriented and UTF-8. Tokens are separated by
 whitespace, `#` starts a comment, blank lines are ignored, LF and CRLF both
-work. See the README for the full grammar of each file kind. The parsers read
-syntax only; what the tokens mean (reserved or repeated symbols, unknown
-states and symbols, moves) is checked once, by `model.validate_machine`.
+work; counts are read by `model.read_count`. See the README for the full
+grammar of each file kind. The parsers read syntax only; what the tokens mean
+(reserved or repeated symbols, unknown states and symbols, moves) is checked
+once, by `model.validate_machine`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     BasicMachine,
     Rule,
     ValidatedMachine,
+    read_count,
     validate_machine,
 )
 
@@ -61,6 +63,17 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
         if body:
             out.append((number, body.split()))
     return out
+
+
+def _count(token: str, what: str, line: int) -> int:
+    """`token` as `model.read_count` reads it. Otherwise a DefinitionError:
+    `negative <what> <token>` for a token that starts with a minus sign, else
+    `bad <what>: <why>`."""
+    try:
+        return read_count(token)
+    except ValueError as exc:
+        message = f"negative {what} {token}" if token[:1] == "-" else f"bad {what}: {exc}"
+        raise DefinitionError(message, line=line) from None
 
 
 def _sections(text: str, single: tuple[str, ...], listed: tuple[str, ...],
@@ -169,24 +182,14 @@ def parse_metafile(text: str) -> list[MetafileEntry]:
     for number, tokens in _content_lines(text):
         if len(tokens) < 6:
             raise DefinitionError("metafile row needs at least 6 fields", line=number)
-        try:
-            n_master = int(tokens[1])
-        except ValueError:
-            raise DefinitionError(f"bad master-tape count {tokens[1]!r}", line=number) from None
+        n_master = _count(tokens[1], "master-tape count", number)
         if n_master < 1:
             raise DefinitionError("master-tape count must be positive", line=number)
         word_files = tuple(tokens[5:])
         if len(word_files) != n_master:
             raise DefinitionError(
                 f"expected {n_master} input word file(s), found {len(word_files)}", line=number)
-        entries.append(MetafileEntry(
-            description_file=tokens[0],
-            n_master_tapes=n_master,
-            states_file=tokens[2],
-            alphabet_file=tokens[3],
-            transitions_file=tokens[4],
-            input_word_files=word_files,
-        ))
+        entries.append(MetafileEntry(tokens[0], n_master, *tokens[2:5], word_files))
     if not entries:
         raise DefinitionError("metafile contains no rows")
     return entries
@@ -198,12 +201,7 @@ def parse_script_file(text: str) -> ScriptPolicy:
     for number, tokens in _content_lines(text):
         if len(tokens) != 2:
             raise DefinitionError("expected `<step> <active|aggressive>`", line=number)
-        try:
-            step = int(tokens[0])
-        except ValueError:
-            raise DefinitionError(f"bad step index {tokens[0]!r}", line=number) from None
-        if step < 0:
-            raise DefinitionError(f"negative step index {step}", line=number)
+        step = _count(tokens[0], "step index", number)
         if tokens[1] not in (ACTIVE, AGGRESSIVE):
             raise DefinitionError(f"bad choice {tokens[1]!r}", line=number)
         if step in schedule:

@@ -287,29 +287,15 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
 
 def _rule_rows(machine: ValidatedMachine) -> list[str]:
     rows = []
-    for rule in sorted(machine.delta, key=lambda r: (r.from_state, r.read)):
-        kind = "checkpoint" if rule.checkpoint else "normal"
-        if rule.checkpoint:
-            nxt = f"stage:2/0/{rule.to_state}"
-        else:
-            nxt = f"user:{rule.to_state}"
-        rows.append("\t".join((
-            "1", kind, "passive", "normal", "tracking",
-            f"user:{rule.from_state}",
-            f"m={rule.read}",
-            nxt,
-            f"m={rule.write},s=<empty>",
-            f"m={rule.move},s={rule.move}",
-        )))
-    for rule in sorted(machine.gamma, key=lambda r: (r.from_state, r.read)):
-        rows.append("\t".join((
-            "1", "fault", "active", "normal", "tracking",
-            f"user:{rule.from_state}",
-            f"m={rule.read}",
-            f"user:{rule.to_state}",
-            f"m={rule.write},s=<empty>",
-            f"m={rule.move},s={rule.move}",
-        )))
+    for daemon, rules in (("passive", machine.delta), ("active", machine.gamma)):
+        for rule in sorted(rules, key=lambda r: (r.from_state, r.read)):
+            # Validation keeps checkpoint marks off fault rules.
+            kind = "fault" if daemon == "active" else "checkpoint" if rule.checkpoint else "normal"
+            nxt = f"stage:2/0/{rule.to_state}" if rule.checkpoint else f"user:{rule.to_state}"
+            rows.append("\t".join((
+                "1", kind, daemon, "normal", "tracking", f"user:{rule.from_state}",
+                f"m={rule.read}", nxt, f"m={rule.write},s=<empty>", f"m={rule.move},s={rule.move}",
+            )))
     return rows
 
 

@@ -13,6 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TextIO
 
+from .model import COUNT_PATTERN, read_count
 from .stages import TAPE_ORDER
 
 # A record line holds these fields in this order, tab-separated; `masked=1`
@@ -47,17 +48,17 @@ class TraceRecord:
                 f"{'' if digests is None else _DIGESTS + ','.join(digests)}")
 
 
-# Integers are written in canonical decimal form, the only form parsed back;
-# text values are anything but a tab, with no comma inside the digest list.
+# Integers are written in `COUNT_PATTERN`, the only form parsed back; text
+# values are anything but a tab, with no comma inside the digest list.
 # `_RECORD` captures five texts: the step, the six fields from `daemon` to
 # `action` as one run, the heads, `masked` and the digests, so that
 # `parse_trace` splits each distinct run of them only once. A line in any
 # other layout fails to match, and `_layout_error` says why.
-_INT = "0|[1-9][0-9]*"
 _TEXT = "[^\t]*"
-_MIDDLE = "\t".join(f"{key}=(?:{_INT if key == 'stage' else _TEXT})" for key in _KEYS[1:7])
-_HEADS = ",".join([f"(?:{_INT})"] * 5)
-_RECORD = re.compile(f"step=({_INT})\t({_MIDDLE})\theads=({_HEADS})"
+_MIDDLE = "\t".join(f"{key}=(?:{COUNT_PATTERN if key == 'stage' else _TEXT})"
+                    for key in _KEYS[1:7])
+_HEADS = ",".join([f"(?:{COUNT_PATTERN})"] * 5)
+_RECORD = re.compile(f"step=({COUNT_PATTERN})\t({_MIDDLE})\theads=({_HEADS})"
                      "(\tmasked=1)?(?:\tdigests=([^\t,]*(?:,[^\t,]*){4}))?")
 
 
@@ -100,6 +101,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
             if not line.strip():
                 continue
             raise ValueError(f"line {number}: {_layout_error(line)}")
+        # The match has read the syntax of every integer; `int` only converts.
         step, middle, heads, masked, digests = match.groups()
         fields = middles.get(middle)
         if fields is None:
@@ -146,12 +148,10 @@ def _layout_error(line: str) -> str:
             return f"unknown field {chunk!r}"
         if key in ("step", "stage", "heads"):
             for text in value.split(",") if key == "heads" else (value,):
-                if re.fullmatch(_INT, text) is None:
-                    try:
-                        int(text)
-                    except ValueError as exc:
-                        return str(exc)
-                    return f"non-canonical integer {text!r} in {key}"
+                try:
+                    read_count(text)
+                except ValueError as exc:
+                    return f"{exc} in {key}"
         keys.append(key)
     for key in _KEYS[:8]:
         if key not in keys:

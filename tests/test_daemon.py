@@ -89,3 +89,11 @@ def test_parse_script_file():
         parse_script_file("one active\n")
     with pytest.raises(ValueError, match="line 1: negative step index -3"):
         parse_script_file("-3 active\n")
+
+
+@pytest.mark.parametrize("line", ["1_0 active", "+3 aggressive", "\u0663 active"], ids=ascii)
+def test_script_rejects_non_canonical_step_indices(line):
+    """A step index is `0` or ASCII digits without sign, separator or
+    leading zero, as in traces: `int()` would read these as 10 and 3."""
+    with pytest.raises(ValueError, match="^line 1: bad step index: non-canonical integer"):
+        parse_script_file(line + "\n")

@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +15,7 @@ from tmfsim.parser import (
     parse_transitions_file,
     parse_word_file,
 )
+from tmfsim.trace import TraceRecord, parse_trace
 
 from conftest import corpus_meta, write_definition
 
@@ -140,6 +144,13 @@ class TestMetafile:
         with pytest.raises(DefinitionError, match="expected 2 input word"):
             parse_metafile("m.desc 2 m.states m.alpha m.rules m.word\n")
 
+    @pytest.mark.parametrize("count", ["+1", "0_1"])
+    def test_master_tape_count_is_canonical(self, count):
+        """`int()` would read both as 1, and the row as one master tape."""
+        complaint = f"bad master-tape count: non-canonical integer {count!r}"
+        with pytest.raises(DefinitionError, match=f"^line 1: {re.escape(complaint)}$"):
+            parse_metafile(f"d {count} s a r w\n")
+
     def test_empty_metafile(self):
         with pytest.raises(DefinitionError, match="no rows"):
             parse_metafile("# only a comment\n")
@@ -207,13 +218,27 @@ class TestLoadMachine:
         assert word == ("1", "0", "1", "1")
 
 
-@given(text=st.text(max_size=200))
+# Text rich in what the parsers split on and read: tabs, `=`, `,`, digits
+# (non-canonical ones too), line breaks, and the trace keys.
+rich_text = st.lists(
+    st.sampled_from(["\t", "=", ",", " ", "#", "0", "1", "01", "+", "-", "_", "\u0663",
+                     "\n", "\r\n", "\r", "\x0b", "\x85", "\u2028", "active", "->",
+                     *(f"{field.name}=" for field in fields(TraceRecord))])
+    | st.text(max_size=3),
+    max_size=60).map("".join)
+
+
+@given(text=st.text(max_size=200) | rich_text)
 @pytest.mark.parametrize("parse", (parse_states_file, parse_alphabet_file,
                                    parse_transitions_file, parse_metafile,
-                                   parse_script_file))
+                                   parse_script_file, parse_trace))
 def test_parsers_are_total(parse, text):
-    """Arbitrary text either parses or raises a diagnostic, never crashes."""
+    """Arbitrary text either parses or raises a diagnostic, never crashes.
+    `parse_trace` raises a plain ValueError that names its line."""
     try:
         parse(text)
     except DefinitionError:
-        pass
+        assert parse is not parse_trace
+    except ValueError as exc:
+        assert parse is parse_trace
+        assert re.match("line [1-9][0-9]*: ", str(exc)), exc

@@ -440,6 +440,15 @@ class TestCliRun:
         assert exc.value.code == 1
         assert "--max-steps: must not be negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["run", "oracle"])
+    @pytest.mark.parametrize("flag, value", [("--max-steps", "1_000"), ("--row", "+0")])
+    def test_non_canonical_count_is_a_usage_error(self, capsys, subcommand, flag, value):
+        """Counts take the trace syntax: `int()` would read 1000 and 0."""
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "-m", corpus_meta("unary"), flag, value])
+        assert exc.value.code == 1
+        assert f"{flag}: non-canonical integer {value!r}" in capsys.readouterr().err
+
     def test_trace_to_file_round_trips(self, tmp_path, capsys):
         out_path = tmp_path / "trace.txt"
         code, _, _ = run_cli(["run", "-m", corpus_meta("palin"),
