@@ -12,6 +12,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 MARKER = "!"
 PLUS = "+"
@@ -112,8 +113,7 @@ class BasicMachine:
     description: str | None = None
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     code: str
     message: str
 
@@ -331,7 +331,8 @@ class StageControl:
         return self._text
 
 
-@dataclass(frozen=True)
 class ShutdownControl:
+    __slots__ = ()
+
     def render(self) -> str:
         return "shutdown"

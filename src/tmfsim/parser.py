@@ -17,7 +17,7 @@ once, by `model.validate_machine`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .daemon import ScriptPolicy
 from .model import (
@@ -166,8 +166,7 @@ def parse_word_file(text: str, alphabet: Alphabet) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-@dataclass(frozen=True)
-class MetafileEntry:
+class MetafileEntry(NamedTuple):
     description_file: str
     n_master_tapes: int
     states_file: str

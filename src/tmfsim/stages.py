@@ -1,11 +1,13 @@
 """Compilation of the embedded stage machinery and its micro-step interpreter.
 
 Stages #2..#7 (computation check, back up, backup check, recovery, recovery
-check, summary check) are generated as short micro-programs over the five
-tapes. The programs are machine independent: the one user-specific datum, the
-program state to resume after a checkpoint, travels in the stage control's
-`resume` slot, and scan terminators are the symbolic markers "empty"/"plus"
-resolved against the machine alphabet only at execution time.
+check, summary check) are short micro-programs over the five tapes. The
+programs are machine independent: the one user-specific datum, the program
+state to resume after a checkpoint, travels in the stage control's `resume`
+slot, and scan terminators are the symbolic markers "empty"/"plus" resolved
+against the machine alphabet only at execution time. So they are built once
+per process, at import, into `STAGE_PROGRAMS`, and `compile_machine` hands
+every machine the same frozen program objects instead of building its own.
 
 Position-tracking ("synchro") tapes hold the empty symbol everywhere except a
 single "+" recording the master head position as of the last checkpoint.
@@ -78,27 +80,31 @@ class ScanCopy:
         return f"copy({self.src}->{self.dst},stop={self.stop})"
 
 
-@dataclass(frozen=True)
 class SeekPlus:
+    __slots__ = ()
+
     def render(self) -> str:
         return "seek_plus"
 
 
-@dataclass(frozen=True)
 class MarkPlus:
+    __slots__ = ()
+
     def render(self) -> str:
         return "mark_plus"
 
 
-@dataclass(frozen=True)
 class EnterUser:
+    __slots__ = ()
+
     # The state to resume is read from the stage control.
     def render(self) -> str:
         return "enter_user"
 
 
-@dataclass(frozen=True)
 class EnterShutdown:
+    __slots__ = ()
+
     def render(self) -> str:
         return "enter_shutdown"
 
@@ -129,59 +135,66 @@ class CompiledMachine:
     stage_programs: dict[int, StageProgram]
 
 
-def compile_machine(machine: ValidatedMachine) -> CompiledMachine:
-    """Generate the stage programs for a machine.
+# Branch wiring: #2 equal->#3 / differ->#5; #3 -> #4; #4 backup differ->#3,
+# position differ->#3, both equal -> resume user computation; #5 -> #6; #6
+# backup differ->#3, position equal->user / differ->#5; #7 equal->shutdown /
+# differ->#5. Stages #4 and #6 end by seeking the "+" so the master head is
+# restored before computation continues. Redundant rewinds are kept: every op
+# starts from a known head position. Built once, at import; the programs are
+# frozen and every compiled machine shares them.
+STAGE_PROGRAMS: dict[int, StageProgram] = {
+    2: StageProgram(ops=(
+        MarkPlus(),
+        Rewind((MASTER, USER)),
+        ScanCompare(MASTER, USER, STOP_EMPTY, on_equal=3, on_diff=5),
+    )),
+    3: StageProgram(ops=(
+        Rewind((MASTER, BACKUP)),
+        ScanCopy(MASTER, BACKUP, STOP_EMPTY),
+        Rewind((SYNCHRO, BACKUP_SYNCHRO)),
+        ScanCopy(SYNCHRO, BACKUP_SYNCHRO, STOP_PLUS),
+    ), done=4),
+    4: StageProgram(ops=(
+        Rewind((MASTER, BACKUP)),
+        ScanCompare(MASTER, BACKUP, STOP_EMPTY, on_equal=NEXT, on_diff=3),
+        Rewind((MASTER, SYNCHRO, BACKUP_SYNCHRO)),
+        ScanCompare(SYNCHRO, BACKUP_SYNCHRO, STOP_PLUS, on_equal=NEXT, on_diff=3),
+        Rewind((MASTER, SYNCHRO)),
+        SeekPlus(),
+        EnterUser(),
+    )),
+    5: StageProgram(ops=(
+        Rewind((MASTER, BACKUP)),
+        ScanCopy(BACKUP, MASTER, STOP_EMPTY),
+        Rewind((SYNCHRO, BACKUP_SYNCHRO)),
+        ScanCopy(BACKUP_SYNCHRO, SYNCHRO, STOP_PLUS),
+    ), done=6),
+    6: StageProgram(ops=(
+        Rewind((MASTER, BACKUP)),
+        ScanCompare(MASTER, BACKUP, STOP_EMPTY, on_equal=NEXT, on_diff=3),
+        Rewind((MASTER, SYNCHRO, BACKUP_SYNCHRO)),
+        ScanCompare(SYNCHRO, BACKUP_SYNCHRO, STOP_PLUS, on_equal=NEXT, on_diff=5),
+        Rewind((MASTER, SYNCHRO)),
+        SeekPlus(),
+        EnterUser(),
+    )),
+    7: StageProgram(ops=(
+        Rewind((MASTER, USER)),
+        ScanCompare(MASTER, USER, STOP_EMPTY, on_equal=NEXT, on_diff=5),
+        EnterShutdown(),
+    )),
+}
 
-    Branch wiring: #2 equal->#3 / differ->#5; #3 -> #4; #4 backup differ->#3,
-    position differ->#3, both equal -> resume user computation; #5 -> #6;
-    #6 backup differ->#3, position equal->user / differ->#5; #7 equal->
-    shutdown / differ->#5. Stages #4 and #6 end by seeking the "+" so the
-    master head is restored before computation continues. Redundant rewinds
-    are kept: every op starts from a known head position.
+
+def compile_machine(machine: ValidatedMachine) -> CompiledMachine:
+    """Pair a machine with the stage programs.
+
+    The programs are machine independent, so this builds none: the result
+    holds a fresh dict of its own over the shared, frozen `STAGE_PROGRAMS`
+    objects. Assigning into one machine's dict leaves every other machine's
+    as it is.
     """
-    programs = {
-        2: StageProgram(ops=(
-            MarkPlus(),
-            Rewind((MASTER, USER)),
-            ScanCompare(MASTER, USER, STOP_EMPTY, on_equal=3, on_diff=5),
-        )),
-        3: StageProgram(ops=(
-            Rewind((MASTER, BACKUP)),
-            ScanCopy(MASTER, BACKUP, STOP_EMPTY),
-            Rewind((SYNCHRO, BACKUP_SYNCHRO)),
-            ScanCopy(SYNCHRO, BACKUP_SYNCHRO, STOP_PLUS),
-        ), done=4),
-        4: StageProgram(ops=(
-            Rewind((MASTER, BACKUP)),
-            ScanCompare(MASTER, BACKUP, STOP_EMPTY, on_equal=NEXT, on_diff=3),
-            Rewind((MASTER, SYNCHRO, BACKUP_SYNCHRO)),
-            ScanCompare(SYNCHRO, BACKUP_SYNCHRO, STOP_PLUS, on_equal=NEXT, on_diff=3),
-            Rewind((MASTER, SYNCHRO)),
-            SeekPlus(),
-            EnterUser(),
-        )),
-        5: StageProgram(ops=(
-            Rewind((MASTER, BACKUP)),
-            ScanCopy(BACKUP, MASTER, STOP_EMPTY),
-            Rewind((SYNCHRO, BACKUP_SYNCHRO)),
-            ScanCopy(BACKUP_SYNCHRO, SYNCHRO, STOP_PLUS),
-        ), done=6),
-        6: StageProgram(ops=(
-            Rewind((MASTER, BACKUP)),
-            ScanCompare(MASTER, BACKUP, STOP_EMPTY, on_equal=NEXT, on_diff=3),
-            Rewind((MASTER, SYNCHRO, BACKUP_SYNCHRO)),
-            ScanCompare(SYNCHRO, BACKUP_SYNCHRO, STOP_PLUS, on_equal=NEXT, on_diff=5),
-            Rewind((MASTER, SYNCHRO)),
-            SeekPlus(),
-            EnterUser(),
-        )),
-        7: StageProgram(ops=(
-            Rewind((MASTER, USER)),
-            ScanCompare(MASTER, USER, STOP_EMPTY, on_equal=NEXT, on_diff=5),
-            EnterShutdown(),
-        )),
-    }
-    return CompiledMachine(base=machine, stage_programs=programs)
+    return CompiledMachine(base=machine, stage_programs=dict(STAGE_PROGRAMS))
 
 
 @dataclass(frozen=True)

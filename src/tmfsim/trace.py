@@ -76,8 +76,8 @@ def render_trace(records: Iterable[TraceRecord], out: TextIO | None = None) -> s
 def parse_trace(text: str) -> list[TraceRecord]:
     """Records from the text of a trace; lines split as `str.splitlines`
     splits them, and blank lines are skipped. A line in any other layout
-    than `TraceRecord.render` writes raises `ValueError` naming its line
-    number.
+    than `TraceRecord.render` writes, or with an integer longer than
+    `int()` reads, raises `ValueError` naming its line number.
 
     Records with equal `daemon`..`action` fields, equal heads or equal
     digests share those values: each distinct text is split once per call.
@@ -101,18 +101,23 @@ def parse_trace(text: str) -> list[TraceRecord]:
             if not line.strip():
                 continue
             raise ValueError(f"line {number}: {_layout_error(line)}")
-        # The match has read the syntax of every integer; `int` only converts.
         step, middle, heads, masked, digests = match.groups()
-        fields = middles.get(middle)
-        if fields is None:
-            # The match guarantees six tab-free `key=value` chunks whose keys
-            # hold no `=`; values may.
-            daemon, phase, stage, before, after, action = [
-                chunk.partition("=")[2] for chunk in middle.split("\t")]
-            fields = middles[middle] = (daemon, phase, int(stage), before, after, action)
-        shared = head_sets.get(heads)
-        if shared is None:
-            shared = head_sets[heads] = tuple(map(int, heads.split(",")))
+        # The match has read the syntax of every integer; `int` only converts,
+        # and fails only past its digit limit, which `_layout_error` names.
+        try:
+            step = int(step)
+            fields = middles.get(middle)
+            if fields is None:
+                # The match guarantees six tab-free `key=value` chunks whose
+                # keys hold no `=`; values may.
+                daemon, phase, stage, before, after, action = [
+                    chunk.partition("=")[2] for chunk in middle.split("\t")]
+                fields = middles[middle] = (daemon, phase, int(stage), before, after, action)
+            shared = head_sets.get(heads)
+            if shared is None:
+                shared = head_sets[heads] = tuple(map(int, heads.split(",")))
+        except ValueError:
+            raise ValueError(f"line {number}: {_layout_error(line)}") from None
         heads = shared
         if digests is not None:
             shared = digest_sets.get(digests)
@@ -121,7 +126,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
             digests = shared
         daemon, phase, stage, before, after, action = fields
         record = new(TraceRecord)
-        set_step(record, int(step))
+        set_step(record, step)
         set_daemon(record, daemon)
         set_phase(record, phase)
         set_stage(record, stage)

@@ -12,6 +12,7 @@ from tmfsim.model import (
     Tape,
     ValidatedMachine,
     ValidationError,
+    ValidationIssue,
     validate_machine,
 )
 from tmfsim.stages import TAPE_ORDER
@@ -121,6 +122,15 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             validate_machine(make_machine((Rule("q0", "1", "q0", "1", "X"),)))
         assert [i.code for i in err.value.issues] == ["bad-move"]
+
+    def test_issue_is_a_read_only_record(self):
+        issue = ValidationIssue("bad-move", "rule 'q0 1' moves 'X'")
+        assert ValidationIssue._fields == ("code", "message")
+        assert repr(issue) == "ValidationIssue(code='bad-move', message=\"rule 'q0 1' moves 'X'\")"
+        assert str(issue) == "bad-move: rule 'q0 1' moves 'X'"
+        with pytest.raises(AttributeError):
+            issue.code = "other"
+        assert issue == ValidationIssue("bad-move", "rule 'q0 1' moves 'X'")
 
     def test_revalidating_a_replaced_machine_rebuilds_its_maps(self):
         machine = validate_machine(make_machine(APPEND_RULES))

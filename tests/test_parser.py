@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from tmfsim.model import Alphabet, ValidationError
 from tmfsim.parser import (
     DefinitionError,
+    MetafileEntry,
     load_machine,
     parse_alphabet_file,
     parse_metafile,
@@ -139,6 +140,19 @@ class TestMetafile:
         rows = parse_metafile("m.desc 1 m.states m.alpha m.rules m.word\n")
         assert rows[0].n_master_tapes == 1
         assert rows[0].input_word_files == ("m.word",)
+
+    def test_row_is_a_read_only_record(self):
+        row = parse_metafile("m.desc 1 m.states m.alpha m.rules m.word\n")[0]
+        assert MetafileEntry._fields == (
+            "description_file", "n_master_tapes", "states_file", "alphabet_file",
+            "transitions_file", "input_word_files")
+        assert repr(row) == (
+            "MetafileEntry(description_file='m.desc', n_master_tapes=1, "
+            "states_file='m.states', alphabet_file='m.alpha', transitions_file='m.rules', "
+            "input_word_files=('m.word',))")
+        assert str(row) == repr(row)
+        with pytest.raises(AttributeError):
+            row.n_master_tapes = 2
 
     def test_word_file_count_must_match(self):
         with pytest.raises(DefinitionError, match="expected 2 input word"):

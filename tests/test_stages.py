@@ -1,7 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tmfsim.model import Alphabet, BasicMachine, Rule, StageControl, Tape, validate_machine
+from tmfsim.model import (
+    Alphabet,
+    BasicMachine,
+    Rule,
+    ShutdownControl,
+    StageControl,
+    Tape,
+    validate_machine,
+)
 from tmfsim.stages import (
     BACKUP,
     BACKUP_SYNCHRO,
@@ -13,6 +21,7 @@ from tmfsim.stages import (
     PlusNotFound,
     ScanCompare,
     ScanCopy,
+    STAGE_PROGRAMS,
     SeekPlus,
     SYNCHRO,
     USER,
@@ -263,6 +272,38 @@ def test_stage_programs_are_machine_independent(compiled_corpus):
     programs = [compiled.stage_programs for compiled, _ in compiled_corpus.values()]
     for other in programs[1:]:
         assert other == programs[0]
+
+
+class TestSharedStagePrograms:
+    def test_every_machine_gets_its_own_dict_of_the_shared_programs(self, corpus):
+        machines = [machine for machine, _ in corpus.values()] + [small_machine()] * 2
+        dicts = [compile_machine(machine).stage_programs for machine in machines]
+        for programs in dicts:
+            assert programs == STAGE_PROGRAMS and programs is not STAGE_PROGRAMS
+            assert all(programs[stage] is program for stage, program in STAGE_PROGRAMS.items())
+        assert len({id(programs) for programs in dicts}) == len(dicts)
+
+    def test_assigning_into_one_dict_leaves_the_others(self, corpus):
+        before = dict(STAGE_PROGRAMS)
+        mine = compile_machine(small_machine()).stage_programs
+        theirs = compile_machine(corpus["unary"][0]).stage_programs
+        mine[2] = mine[3]
+        del mine[7]
+        assert mine != before
+        for programs in (theirs, compile_machine(small_machine()).stage_programs,
+                         STAGE_PROGRAMS):
+            assert programs == before and programs[2] is before[2]
+
+
+@pytest.mark.parametrize("cls, text", [
+    (SeekPlus, "seek_plus"), (MarkPlus, "mark_plus"), (EnterUser, "enter_user"),
+    (EnterShutdown, "enter_shutdown"), (ShutdownControl, "shutdown")])
+def test_fieldless_classes_hold_nothing(cls, text):
+    instance = cls()
+    assert cls.__slots__ == ()
+    with pytest.raises(AttributeError):
+        instance.anything = 1
+    assert instance.render() == text
 
 
 content = st.lists(st.sampled_from(["0", "1", "x"]), max_size=64)

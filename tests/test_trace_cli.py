@@ -92,7 +92,12 @@ class TestTraceFormat:
                 (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=01,1,0,0,1"),
                  "non-canonical integer '01' in heads"),
                 (GOOD_LINE.replace("stage=1", "stage= 1"), "non-canonical integer ' 1' in stage"),
-                (GOOD_LINE.replace("step=1", "step=\u0661"), "non-canonical integer")):
+                (GOOD_LINE.replace("step=1", "step=\u0661"), "non-canonical integer"),
+                # Past `int()`'s digit limit (4,300 digits by default).
+                (GOOD_LINE.replace("step=1", "step=1" + "0" * 5000),
+                 "Exceeds the limit .* in step"),
+                (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=1,1,0,0,1" + "0" * 5000),
+                 "Exceeds the limit .* in heads")):
             with pytest.raises(ValueError, match=f"^line 2: {complaint}"):
                 parse_trace(GOOD_LINE + "\n" + bad + "\n")
 
