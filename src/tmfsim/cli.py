@@ -59,6 +59,18 @@ def _count(text: str) -> int:
             f"must not be negative: {text}" if text[:1] == "-" else str(exc)) from None
 
 
+def _seed(text: str) -> int:
+    """The argparse type of `--seed`: an optional `-` and then a count as
+    `model.read_count` reads it, so negative seeds stay legal; any other
+    text is a usage error."""
+    negative = text[:1] == "-"
+    try:
+        value = read_count(text[1:] if negative else text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return -value if negative else value
+
+
 def _add_common(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("-m", "--metafile", required=True, help="machine metafile")
     cmd.add_argument("--row", type=_count, default=0, help="metafile row to use (default 0)")
@@ -68,7 +80,7 @@ def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--daemon", choices=("passive", "random", "script"), default="passive")
     cmd.add_argument("--p-fault", type=float, default=0.0)
     cmd.add_argument("--p-failure", type=float, default=0.0)
-    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--seed", type=_seed, default=0)
     cmd.add_argument("--daemon-script", help="schedule file for --daemon script")
     cmd.add_argument("--allow-failure-in-critical", action="store_true",
                      help="let failures strike during backup/recovery stages")
@@ -118,8 +130,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def _flag_conflict(args: argparse.Namespace) -> str | None:
     """Why the flags of a `run` do not go together, or None if they do. A
     sweep runs its own single-event schedules untraced, `--trace off`
-    writes nothing, and each daemon reads only its own flags, so flags they
-    would ignore are refused; the script daemon needs its schedule file."""
+    writes nothing, each daemon reads only its own flags, and
+    `--allow-failure-in-critical` acts only where a failure can be drawn,
+    so flags they would ignore are refused; the script daemon needs its
+    schedule file."""
     if args.sweep_fault_step and args.sweep_failure_step:
         return "--sweep-fault-step and --sweep-failure-step cannot be combined"
     if args.sweep_fault_step or args.sweep_failure_step:
@@ -131,7 +145,9 @@ def _flag_conflict(args: argparse.Namespace) -> str | None:
             ("--daemon-script", args.daemon_script is not None),
             ("--trace", args.trace != "off"),
             ("--trace-out", args.trace_out is not None),
-            ("--digests", args.digests)) if given]
+            ("--digests", args.digests),
+            ("--allow-failure-in-critical",
+             args.allow_failure_in_critical and args.sweep_fault_step)) if given]
         if ignored:
             sweep = "--sweep-fault-step" if args.sweep_fault_step else "--sweep-failure-step"
             return f"{sweep} does not take {', '.join(ignored)}"
@@ -145,6 +161,11 @@ def _flag_conflict(args: argparse.Namespace) -> str | None:
         if given and args.daemon != reader]
     if ignored:
         return f"--daemon {args.daemon} does not take {', '.join(ignored)}"
+    if args.allow_failure_in_critical and not args.sweep_failure_step:
+        if args.daemon == "passive":
+            return "--daemon passive does not take --allow-failure-in-critical"
+        if args.daemon == "random" and args.p_failure == 0:
+            return "--daemon random with --p-failure 0 does not take --allow-failure-in-critical"
     if args.daemon == "script" and not args.daemon_script:
         return "--daemon script requires --daemon-script <path>"
     return None

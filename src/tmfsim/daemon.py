@@ -10,13 +10,12 @@ random stream never shifts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ACTIVE, AGGRESSIVE, PASSIVE
 
 
-@dataclass(frozen=True)
-class MaskConfig:
+class MaskConfig(NamedTuple):
     """Whether failures may strike while the backup tapes are being written.
 
     A failure inside the backup/recovery stages can corrupt the recovery

@@ -23,7 +23,7 @@ defined from step 0, whatever the daemon does.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .daemon import AlwaysPassive, DaemonPolicy, MaskConfig, decide
 from .model import (
@@ -64,8 +64,7 @@ class OracleStepLimit(Exception):
     """The reference interpreter exceeded its step budget."""
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """Recovery target established by the last verified checkpoint.
 
     Tape contents are not stored here: the backup tapes are the snapshot.
@@ -77,8 +76,7 @@ class Snapshot:
     ideal_steps: int
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     outcome: str   # shutdown | step-limit | jammed
     final_master_word: tuple[str, ...]
     steps_used: int

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 MARKER = "!"
@@ -59,36 +59,63 @@ def read_count(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class ReadOnly:
+    """Base of the slotted classes whose instances are shared once built:
+    alphabets, rules, machines, stage ops and programs. `__init__` fills
+    each slot through `object.__setattr__`; any later assignment or
+    deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(ReadOnly):
     """Tape alphabet split into the user-facing classes.
 
     The full tape alphabet is {"!", empty} plus the input and internal
     symbols; the three classes plus the reserved pair are pairwise disjoint.
+    Two alphabets are equal when their three classes are.
     """
 
-    empty: str
-    input: tuple[str, ...] = ()
-    internal: tuple[str, ...] = ()
+    __slots__ = ("empty", "input", "internal")
+
+    def __init__(self, empty: str, input: tuple[str, ...] = (),
+                 internal: tuple[str, ...] = ()):
+        object.__setattr__(self, "empty", empty)
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "internal", internal)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Alphabet):
+            return NotImplemented
+        return (self.empty, self.input, self.internal) == (other.empty, other.input, other.internal)
 
     def full(self) -> tuple[str, ...]:
         return (MARKER, self.empty) + self.input + self.internal
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(ReadOnly):
     """One transition: (from_state, read) -> (to_state, write, move).
 
     checkpoint=True marks a normal rule whose application triggers the
     verify-and-backup sequence; the flag is illegal on fault rules.
     """
 
-    from_state: str
-    read: str
-    to_state: str
-    write: str
-    move: str
-    checkpoint: bool = False
+    __slots__ = ("from_state", "read", "to_state", "write", "move", "checkpoint")
+
+    def __init__(self, from_state: str, read: str, to_state: str, write: str, move: str,
+                 checkpoint: bool = False):
+        object.__setattr__(self, "from_state", from_state)
+        object.__setattr__(self, "read", read)
+        object.__setattr__(self, "to_state", to_state)
+        object.__setattr__(self, "write", write)
+        object.__setattr__(self, "move", move)
+        object.__setattr__(self, "checkpoint", checkpoint)
 
     def key(self) -> tuple[str, str]:
         return (self.from_state, self.read)
@@ -100,17 +127,22 @@ class Rule:
         return text
 
 
-@dataclass(frozen=True)
-class BasicMachine:
+class BasicMachine(ReadOnly):
     """A single-tape deterministic machine plus checkpoint marks and fault rules."""
 
-    states: tuple[str, ...]
-    initial: str
-    halting: str
-    alphabet: Alphabet
-    delta: tuple[Rule, ...]
-    gamma: tuple[Rule, ...] = ()
-    description: str | None = None
+    # Also the field names `validate_machine` copies into a ValidatedMachine.
+    __slots__ = ("states", "initial", "halting", "alphabet", "delta", "gamma", "description")
+
+    def __init__(self, states: tuple[str, ...], initial: str, halting: str, alphabet: Alphabet,
+                 delta: tuple[Rule, ...], gamma: tuple[Rule, ...] = (),
+                 description: str | None = None):
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "halting", halting)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "description", description)
 
 
 class ValidationIssue(NamedTuple):
@@ -129,7 +161,6 @@ class ValidationError(Exception):
         super().__init__("; ".join(str(i) for i in issues))
 
 
-@dataclass(frozen=True)
 class ValidatedMachine(BasicMachine):
     """A BasicMachine certified to satisfy every static invariant.
 
@@ -137,8 +168,16 @@ class ValidatedMachine(BasicMachine):
     reference interpreter can resolve transitions in O(1).
     """
 
-    delta_map: dict[tuple[str, str], Rule] = field(repr=False, compare=False, default_factory=dict)
-    gamma_map: dict[tuple[str, str], Rule] = field(repr=False, compare=False, default_factory=dict)
+    __slots__ = ("delta_map", "gamma_map")
+
+    def __init__(self, states: tuple[str, ...], initial: str, halting: str, alphabet: Alphabet,
+                 delta: tuple[Rule, ...], gamma: tuple[Rule, ...] = (),
+                 description: str | None = None,
+                 delta_map: dict[tuple[str, str], Rule] | None = None,
+                 gamma_map: dict[tuple[str, str], Rule] | None = None):
+        super().__init__(states, initial, halting, alphabet, delta, gamma, description)
+        object.__setattr__(self, "delta_map", {} if delta_map is None else delta_map)
+        object.__setattr__(self, "gamma_map", {} if gamma_map is None else gamma_map)
 
 
 def validate_machine(raw: BasicMachine) -> ValidatedMachine:
@@ -229,7 +268,7 @@ def validate_machine(raw: BasicMachine) -> ValidatedMachine:
 
     if issues:
         raise ValidationError(issues)
-    return ValidatedMachine(**{f.name: getattr(raw, f.name) for f in fields(BasicMachine)},
+    return ValidatedMachine(*(getattr(raw, name) for name in BasicMachine.__slots__),
                             delta_map=delta_map, gamma_map=gamma_map)
 
 

@@ -20,12 +20,13 @@ before stopping; cells beyond it are stale and invisible to every comparison.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .model import (
     JamError,
     MARKER,
     PLUS,
+    ReadOnly,
     ShutdownControl,
     StageControl,
     Tape,
@@ -49,32 +50,55 @@ class PlusNotFound(JamError):
     """A position-restoring seek ran out of written tape without finding "+"."""
 
 
-@dataclass(frozen=True)
-class Rewind:
-    tapes: tuple[str, ...]
+class Rewind(ReadOnly):
+    __slots__ = ("tapes",)
+
+    def __init__(self, tapes: tuple[str, ...]):
+        object.__setattr__(self, "tapes", tapes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rewind):
+            return NotImplemented
+        return self.tapes == other.tapes
 
     def render(self) -> str:
         return f"rewind({','.join(self.tapes)})"
 
 
-@dataclass(frozen=True)
-class ScanCompare:
-    tape_a: str
-    tape_b: str
-    stop: str
-    on_equal: int | str
-    on_diff: int | str
+class ScanCompare(ReadOnly):
+    __slots__ = ("tape_a", "tape_b", "stop", "on_equal", "on_diff")
+
+    def __init__(self, tape_a: str, tape_b: str, stop: str, on_equal: int | str,
+                 on_diff: int | str):
+        object.__setattr__(self, "tape_a", tape_a)
+        object.__setattr__(self, "tape_b", tape_b)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "on_equal", on_equal)
+        object.__setattr__(self, "on_diff", on_diff)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScanCompare):
+            return NotImplemented
+        return ((self.tape_a, self.tape_b, self.stop, self.on_equal, self.on_diff)
+                == (other.tape_a, other.tape_b, other.stop, other.on_equal, other.on_diff))
 
     def render(self) -> str:
         return (f"compare({self.tape_a},{self.tape_b},stop={self.stop},"
                 f"eq={self.on_equal},diff={self.on_diff})")
 
 
-@dataclass(frozen=True)
-class ScanCopy:
-    src: str
-    dst: str
-    stop: str
+class ScanCopy(ReadOnly):
+    __slots__ = ("src", "dst", "stop")
+
+    def __init__(self, src: str, dst: str, stop: str):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "stop", stop)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScanCopy):
+            return NotImplemented
+        return (self.src, self.dst, self.stop) == (other.src, other.dst, other.stop)
 
     def render(self) -> str:
         return f"copy({self.src}->{self.dst},stop={self.stop})"
@@ -112,27 +136,28 @@ class EnterShutdown:
 MicroOp = Rewind | ScanCompare | ScanCopy | SeekPlus | MarkPlus | EnterUser | EnterShutdown
 
 
-@dataclass(frozen=True)
-class StageProgram:
+class StageProgram(ReadOnly):
     """Ordered micro-ops plus the stage entered when the program runs out.
 
     `actions` holds each op's trace action, `micro:<op>`, rendered once and
     interned, so that the records of every step of an op share one string.
     """
 
-    ops: tuple[MicroOp, ...]
-    done: int | None = None
-    actions: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("ops", "done", "actions")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ops: tuple[MicroOp, ...], done: int | None = None):
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "done", done)
         object.__setattr__(self, "actions", tuple(sys.intern(f"micro:{op.render()}")
-                                                   for op in self.ops))
+                                                  for op in ops))
 
 
-@dataclass(frozen=True)
-class CompiledMachine:
-    base: ValidatedMachine
-    stage_programs: dict[int, StageProgram]
+class CompiledMachine(ReadOnly):
+    __slots__ = ("base", "stage_programs")
+
+    def __init__(self, base: ValidatedMachine, stage_programs: dict[int, StageProgram]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "stage_programs", stage_programs)
 
 
 # Branch wiring: #2 equal->#3 / differ->#5; #3 -> #4; #4 backup differ->#3,

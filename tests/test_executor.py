@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmfsim.daemon import AlwaysPassive, RandomPolicy, ScriptPolicy
+from tmfsim.daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy
 from tmfsim.executor import (
     OracleStepLimit,
+    RunResult,
+    Snapshot,
     UndefinedRule,
     init_configuration,
     run,
@@ -412,3 +414,30 @@ def test_random_words_match_the_oracle(compiled_corpus, data):
         result, _ = run(init_configuration(compiled, word), max_steps=100_000)
         assert result.outcome == "shutdown", (name, word)
         assert result.final_master_word == expected, (name, word)
+
+
+def test_run_result_is_a_read_only_record():
+    """The golden digest hashes `repr(RunResult)`: its text is the
+    `Name(field=value, ...)` form with the fields in this order."""
+    result = RunResult("jammed", ("1", "1"), 52, 0, 1, 1, 3, "UndefinedRule: no rule")
+    assert RunResult._fields == (
+        "outcome", "final_master_word", "steps_used", "faults_injected", "failures_injected",
+        "recoveries", "checkpoints_committed", "jam_reason")
+    assert repr(result) == (
+        "RunResult(outcome='jammed', final_master_word=('1', '1'), steps_used=52, "
+        "faults_injected=0, failures_injected=1, recoveries=1, checkpoints_committed=3, "
+        "jam_reason='UndefinedRule: no rule')")
+    assert RunResult("shutdown", (), 1, 0, 0, 0, 0).jam_reason is None
+    with pytest.raises(AttributeError):
+        result.steps_used = 0
+
+
+def test_snapshot_and_mask_are_read_only_records():
+    snapshot, mask = Snapshot(resume="q0", ideal_steps=0), MaskConfig()
+    assert (Snapshot._fields, MaskConfig._fields) == (
+        ("resume", "ideal_steps"), ("allow_failure_in_critical",))
+    assert mask == MaskConfig(allow_failure_in_critical=False)
+    with pytest.raises(AttributeError):
+        snapshot.ideal_steps = 1
+    with pytest.raises(AttributeError):
+        mask.allow_failure_in_critical = True

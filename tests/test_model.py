@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -136,7 +134,12 @@ class TestValidation:
         machine = validate_machine(make_machine(APPEND_RULES))
         rules = (Rule("q0", "1", "qf", "0", "N"),)
         faults = (Rule("q0", "1", "qf", "1", "N"),)
-        again = validate_machine(replace(machine, delta=rules, gamma=faults))
+        # New rules under the maps of the old ones.
+        replaced = ValidatedMachine(machine.states, machine.initial, machine.halting,
+                                    machine.alphabet, delta=rules, gamma=faults,
+                                    description=machine.description,
+                                    delta_map=machine.delta_map, gamma_map=machine.gamma_map)
+        again = validate_machine(replaced)
         assert isinstance(again, ValidatedMachine)
         assert (again.delta, again.gamma) == (rules, faults)
         assert again.delta_map == {("q0", "1"): rules[0]}

@@ -1,5 +1,10 @@
+import dataclasses
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
+
+import tmfsim.cli  # noqa: F401  (loads every module of the package)
 
 from tmfsim.model import (
     Alphabet,
@@ -19,6 +24,7 @@ from tmfsim.stages import (
     MarkPlus,
     NEXT,
     PlusNotFound,
+    Rewind,
     ScanCompare,
     ScanCopy,
     STAGE_PROGRAMS,
@@ -304,6 +310,54 @@ def test_fieldless_classes_hold_nothing(cls, text):
     with pytest.raises(AttributeError):
         instance.anything = 1
     assert instance.render() == text
+
+
+def test_only_the_classes_a_step_builds_are_dataclasses():
+    """Generating dataclass methods is paid at every import, so only the
+    classes built on every step are dataclasses."""
+    modules = [module for name, module in sys.modules.items()
+               if name == "tmfsim" or name.startswith("tmfsim.")]
+    dataclass_names = {obj.__qualname__ for module in modules for obj in vars(module).values()
+                       if isinstance(obj, type) and obj.__module__.startswith("tmfsim")
+                       and dataclasses.is_dataclass(obj)}
+    assert dataclass_names == {"StageControl", "UserControl", "StageStep", "TraceRecord"}
+
+
+def shared_objects():
+    """One instance of each slotted class a compiled machine is made of."""
+    compiled = compile_machine(small_machine())
+    machine = compiled.base
+    program = compiled.stage_programs[3]
+    return [machine.alphabet, machine.delta[0], machine,
+            BasicMachine(machine.states, machine.initial, machine.halting, machine.alphabet,
+                         machine.delta),
+            program.ops[0], program.ops[1], compiled.stage_programs[2].ops[2],
+            program, compiled]
+
+
+@pytest.mark.parametrize("obj", shared_objects(), ids=lambda obj: type(obj).__name__)
+def test_shared_objects_are_read_only_slots(obj):
+    """Programs, ops and machines are shared between runs, so none of them
+    takes an assignment, to a field or to a new name."""
+    assert not hasattr(obj, "__dict__")
+    field = type(obj).__slots__[0]
+    before = getattr(obj, field)
+    for name in (field, "anything"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert getattr(obj, field) is before
+
+
+def test_ops_equal_ops_with_the_same_fields():
+    ops = STAGE_PROGRAMS[4].ops
+    assert ops[:2] == (Rewind((MASTER, BACKUP)),
+                       ScanCompare(MASTER, BACKUP, "empty", on_equal=NEXT, on_diff=3))
+    assert ops[0] != Rewind((MASTER, SYNCHRO))
+    assert ops[1] != ScanCompare(MASTER, BACKUP, "empty", on_equal=NEXT, on_diff=5)
+    assert STAGE_PROGRAMS[3].ops[1] == ScanCopy(MASTER, BACKUP, "empty")
+    assert STAGE_PROGRAMS[3].ops[1] != ScanCopy(BACKUP, MASTER, "empty")
 
 
 content = st.lists(st.sampled_from(["0", "1", "x"]), max_size=64)

@@ -344,6 +344,10 @@ class TestCliRun:
         ["--daemon", "script", "--daemon-script", os.devnull, "--p-fault", "0.1"],
         ["--daemon", "script", "--daemon-script", os.devnull, "--p-failure", "0.1"],
         ["--daemon", "script", "--daemon-script", os.devnull, "--seed", "3"],
+        ["--allow-failure-in-critical"],
+        ["--sweep-fault-step", "--allow-failure-in-critical"],
+        ["--daemon", "random", "--allow-failure-in-critical"],
+        ["--daemon", "random", "--p-fault", "0.1", "--allow-failure-in-critical"],
     ], ids="+".join)
     def test_run_rejects_flags_it_would_ignore(self, tmp_path, monkeypatch, capsys, flags):
         monkeypatch.chdir(tmp_path)
@@ -352,6 +356,47 @@ class TestCliRun:
         assert err.startswith("error: ")
         assert out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, refusal", [
+        ([], "--daemon passive does not take --allow-failure-in-critical"),
+        (["--sweep-fault-step"], "--sweep-fault-step does not take --allow-failure-in-critical"),
+        (["--daemon", "random", "--p-fault", "0.1"],
+         "--daemon random with --p-failure 0 does not take --allow-failure-in-critical"),
+    ], ids=["passive", "fault-sweep", "random-without-failures"])
+    def test_unmasking_is_refused_where_no_failure_can_be_drawn(self, capsys, flags, refusal):
+        code, out, err = run_cli(["run", "-m", corpus_meta("unary"), *flags,
+                                  "--allow-failure-in-critical"], capsys)
+        assert (code, out, err) == (1, "", f"error: {refusal}\n")
+
+    @pytest.mark.parametrize("flags", [
+        ["--sweep-failure-step"],
+        ["--daemon", "random", "--p-failure", "0.1"],
+        ["--daemon", "script", "--daemon-script", os.devnull],
+    ], ids="+".join)
+    def test_unmasking_is_taken_where_a_failure_can_be_drawn(self, capsys, flags):
+        """Each of these runs out of steps at once: it got past the flag
+        checks, which exit 1."""
+        code, _, err = run_cli(["run", "-m", corpus_meta("unary"), *flags,
+                                "--allow-failure-in-critical", "--max-steps", "0"], capsys)
+        assert code == 2
+        assert "error:" not in err
+
+    @pytest.mark.parametrize("value", ["1_0", "+10", " 10", "10 ", "010", "\u0661\u0660",
+                                       "-01", "-1_0", "--10"])
+    def test_non_canonical_seed_is_a_usage_error(self, capsys, value):
+        """A seed is an optional `-` and a count: `int()` would read each of
+        these."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-m", corpus_meta("unary"), "--daemon", "random", f"--seed={value}"])
+        assert exc.value.code == 1
+        assert "--seed: non-canonical integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "10", "-10", "2147483647"])
+    def test_canonical_seed_is_taken(self, capsys, value):
+        code, out, _ = run_cli(["run", "-m", corpus_meta("unary"), "--daemon", "random",
+                                "--p-fault", "0.05", f"--seed={value}"], capsys)
+        assert code == 0
+        assert "word: 1 1 1" in out
 
     def test_script_daemon_without_a_schedule_is_refused_before_loading(self, capsys):
         code, out, err = run_cli(["run", "-m", "no/such.meta", "--daemon", "script"], capsys)
