@@ -50,25 +50,13 @@ def _paint(text: str, good: bool, stream) -> str:
 
 
 def _count(text: str) -> int:
-    """The argparse type of `--max-steps` and `--row`: `text` as
+    """The argparse type of `--seed`, `--max-steps` and `--row`: `text` as
     `model.read_count` reads it, or a usage error saying why not."""
     try:
         return read_count(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"must not be negative: {text}" if text[:1] == "-" else str(exc)) from None
-
-
-def _seed(text: str) -> int:
-    """The argparse type of `--seed`: an optional `-` and then a count as
-    `model.read_count` reads it, so negative seeds stay legal; any other
-    text is a usage error."""
-    negative = text[:1] == "-"
-    try:
-        value = read_count(text[1:] if negative else text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return -value if negative else value
 
 
 def _add_common(cmd: argparse.ArgumentParser) -> None:
@@ -80,7 +68,7 @@ def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--daemon", choices=("passive", "random", "script"), default="passive")
     cmd.add_argument("--p-fault", type=float, default=0.0)
     cmd.add_argument("--p-failure", type=float, default=0.0)
-    cmd.add_argument("--seed", type=_seed, default=0)
+    cmd.add_argument("--seed", type=_count, default=0)
     cmd.add_argument("--daemon-script", help="schedule file for --daemon script")
     cmd.add_argument("--allow-failure-in-critical", action="store_true",
                      help="let failures strike during backup/recovery stages")

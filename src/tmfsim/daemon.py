@@ -58,6 +58,9 @@ class RandomPolicy:
     def __init__(self, p_fault: float, p_failure: float, seed: int):
         if not (p_fault >= 0 and p_failure >= 0 and p_fault + p_failure <= 1):
             raise ValueError("need p_fault, p_failure >= 0 and p_fault + p_failure <= 1")
+        if seed < 0:
+            # `random.Random` seeds an int by its absolute value.
+            raise ValueError(f"seed must not be negative: {seed}")
         self.p_fault = p_fault
         self.p_failure = p_failure
         self._rng = random.Random(seed)

@@ -51,6 +51,8 @@ def test_random_probabilities_validated():
         RandomPolicy(float("nan"), 0.0, seed=1)
     with pytest.raises(ValueError):
         RandomPolicy(0.0, float("nan"), seed=1)
+    with pytest.raises(ValueError):
+        RandomPolicy(0.05, 0.01, -5)
 
 
 def test_random_reproducibility():

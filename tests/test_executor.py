@@ -47,6 +47,14 @@ def first_user_step(compiled, word):
     return cfg.step_index
 
 
+def first_user_step_after_commit(compiled, word):
+    """Step index of the first computation step after the first commit, read
+    from the trace of a fault-free run."""
+    _, records = run(init_configuration(compiled, word))
+    commit = next(r.step for r in records if r.action == "commit")
+    return next(r.step for r in records if r.step > commit and r.before.startswith("user:"))
+
+
 def early_halting_unary():
     """`unary` with a fault that halts at once, writing the symbol it read:
     the tapes still agree, but the reference has not halted yet."""
@@ -242,7 +250,8 @@ class TestRun:
     def test_summary_check_waits_for_the_reference(self):
         compiled = early_halting_unary()
         word = ("1", "1")
-        cfg = init_configuration(compiled, word, ScriptPolicy({25: "active"}))
+        k = first_user_step_after_commit(compiled, word)
+        cfg = init_configuration(compiled, word, ScriptPolicy({k: "active"}))
         result, records = run(cfg)
         assert result.faults_injected == 1
         assert result.outcome == "shutdown"
@@ -279,7 +288,8 @@ class TestRun:
             delta=(Rule("q0", "1", "q0", "1", "R", checkpoint=True),
                    Rule("q0", "b", "qf", "1", "N", checkpoint=True)),
             gamma=(Rule("q0", "1", "q0", "b", "N"),))))
-        cfg = init_configuration(compiled, ("1", "1"), ScriptPolicy({25: "active"}))
+        k = first_user_step_after_commit(compiled, ("1", "1"))
+        cfg = init_configuration(compiled, ("1", "1"), ScriptPolicy({k: "active"}))
         result, records = run(cfg, max_steps=3_480)
         assert result.faults_injected == 1
         assert result.outcome == "step-limit"

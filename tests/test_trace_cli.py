@@ -270,6 +270,18 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def first_run_with_a_fault_and_a_failure(compiled, word):
+    """(seed, result, records) of the first seeded random run (p_fault 0.05,
+    p_failure 0.01, with digests) that injects both a fault and a failure,
+    or of seed 99 if none below 100 does."""
+    for seed in range(100):
+        cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, seed))
+        result, records = run(cfg, with_digests=True)
+        if result.faults_injected and result.failures_injected:
+            break
+    return seed, result, records
+
+
 class TestCliRun:
     def test_run_unary(self, capsys):
         code, out, _ = run_cli(["run", "-m", corpus_meta("unary")], capsys)
@@ -381,17 +393,36 @@ class TestCliRun:
         assert code == 2
         assert "error:" not in err
 
-    @pytest.mark.parametrize("value", ["1_0", "+10", " 10", "10 ", "010", "\u0661\u0660",
-                                       "-01", "-1_0", "--10"])
+    @pytest.mark.parametrize("value", ["1_0", "+10", " 10", "10 ", "010", "\u0661\u0660"])
     def test_non_canonical_seed_is_a_usage_error(self, capsys, value):
-        """A seed is an optional `-` and a count: `int()` would read each of
-        these."""
+        """A seed is a count: `int()` would read each of these."""
         with pytest.raises(SystemExit) as exc:
             main(["run", "-m", corpus_meta("unary"), "--daemon", "random", f"--seed={value}"])
         assert exc.value.code == 1
         assert "--seed: non-canonical integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "10", "-10", "2147483647"])
+    @pytest.mark.parametrize("flags", [["--seed=-10"], ["--seed", "-10"], ["--seed=-01"],
+                                       ["--seed=-1_0"], ["--seed=--10"]], ids=" ".join)
+    def test_negative_seed_is_a_usage_error(self, capsys, flags):
+        """The generator seeds -10 as 10, so a negative seed would replay the
+        stream of its absolute value."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-m", corpus_meta("unary"), "--daemon", "random", *flags])
+        assert exc.value.code == 1
+        assert f"argument --seed: must not be negative: {flags[-1].removeprefix('--seed=')}\n" \
+            in capsys.readouterr().err
+
+    def test_each_seed_names_its_own_stream(self, capsys):
+        traces = []
+        for seed in ("5", "6"):
+            code, out, _ = run_cli(["run", "-m", corpus_meta("succ"), "--daemon", "random",
+                                    "--p-fault", "0.05", "--p-failure", "0.01",
+                                    "--seed", seed, "--trace", "full"], capsys)
+            assert code == 0
+            traces.append(out)
+        assert traces[0] != traces[1]
+
+    @pytest.mark.parametrize("value", ["0", "10", "2147483647"])
     def test_canonical_seed_is_taken(self, capsys, value):
         code, out, _ = run_cli(["run", "-m", corpus_meta("unary"), "--daemon", "random",
                                 "--p-fault", "0.05", f"--seed={value}"], capsys)
@@ -512,12 +543,11 @@ class TestCliRun:
     def test_streamed_trace_equals_rendered_records(self, succ, tmp_path, capsys, mode,
                                                    to_file):
         compiled, word = succ
-        cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, 9))
-        result, records = run(cfg, with_digests=True)
+        seed, result, records = first_run_with_a_fault_and_a_failure(compiled, word)
         assert result.faults_injected and result.failures_injected
         expected = render_trace(records if mode == "full" else summarize(records))
         args = ["run", "-m", corpus_meta("succ"), "--daemon", "random", "--p-fault", "0.05",
-                "--p-failure", "0.01", "--seed", "9", "--trace", mode, "--digests"]
+                "--p-failure", "0.01", "--seed", str(seed), "--trace", mode, "--digests"]
         path = tmp_path / "trace.txt"
         code, out, _ = run_cli(args + ["--trace-out", str(path)] if to_file else args, capsys)
         assert code == 0
