@@ -8,9 +8,7 @@ correctness reference for the full simulator.
 """
 
 from .daemon import (
-    AlwaysPassive,
     DaemonPolicy,
-    MaskConfig,
     RandomPolicy,
     ScriptPolicy,
     decide,
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "AlwaysPassive",
     "BasicMachine",
     "BoundaryViolation",
     "CompiledMachine",
@@ -53,7 +50,6 @@ __all__ = [
     "DaemonPolicy",
     "DefinitionError",
     "JamError",
-    "MaskConfig",
     "OracleStepLimit",
     "PlusNotFound",
     "RandomPolicy",

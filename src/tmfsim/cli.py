@@ -13,7 +13,7 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 
-from .daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy
+from .daemon import RandomPolicy, ScriptPolicy
 from .executor import (
     DEFAULT_MAX_STEPS,
     OracleStepLimit,
@@ -161,7 +161,7 @@ def _flag_conflict(args: argparse.Namespace) -> str | None:
 
 def _make_policy(args: argparse.Namespace):
     if args.daemon == "passive":
-        return AlwaysPassive()
+        return ScriptPolicy({})
     if args.daemon == "script":
         return load_script(args.daemon_script)
     try:
@@ -209,9 +209,8 @@ def _output(path: str | None, default):
 
 
 def _single_shot(compiled, word, args, out) -> int:
-    policy = _make_policy(args)
-    mask = MaskConfig(allow_failure_in_critical=args.allow_failure_in_critical)
-    cfg = init_configuration(compiled, word, policy, mask)
+    cfg = init_configuration(compiled, word, _make_policy(args),
+                             args.allow_failure_in_critical)
     with _output(args.trace_out, out) as trace_out:
         result, records = run(cfg, max_steps=args.max_steps, with_digests=args.digests)
         try:
@@ -225,8 +224,8 @@ def _single_shot(compiled, word, args, out) -> int:
 
 
 def _sweep(compiled, word, args, choice: str, out) -> int:
-    mask = MaskConfig(allow_failure_in_critical=args.allow_failure_in_critical)
-    baseline_cfg = init_configuration(compiled, word, AlwaysPassive(), mask)
+    allow = args.allow_failure_in_critical
+    baseline_cfg = init_configuration(compiled, word, ScriptPolicy({}), allow)
     baseline, _ = run(baseline_cfg, max_steps=args.max_steps)
     if baseline.outcome != "shutdown":
         print(f"baseline run did not shut down: {baseline.outcome}", file=sys.stderr)
@@ -235,7 +234,7 @@ def _sweep(compiled, word, args, choice: str, out) -> int:
     ok = 0
     any_jam = any_limit = any_mismatch = False
     for k in range(length):
-        cfg = init_configuration(compiled, word, ScriptPolicy({k: choice}), mask)
+        cfg = init_configuration(compiled, word, ScriptPolicy({k: choice}), allow)
         result, _ = run(cfg, max_steps=args.max_steps)
         match = result.final_master_word == baseline.final_master_word
         if result.outcome == "shutdown" and match:

@@ -1,40 +1,22 @@
 """Daemon decision policies: the per-step choice of passive/active/aggressive.
 
 The daemon's choice is the only non-deterministic element of a run, so every
-policy here is reproducible: a scripted schedule, a seeded generator, or the
-constant passive policy. Masking can downgrade aggressive choices while the
-run is inside a backup-critical stage; a masked draw is still consumed so the
-random stream never shifts.
+policy here is reproducible: a scripted schedule or a seeded generator. The
+fault-free daemon is the empty schedule, `ScriptPolicy({})`. Masking can
+downgrade aggressive choices while the run is inside a backup-critical stage;
+a masked draw is still consumed so the random stream never shifts.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
 from .model import ACTIVE, AGGRESSIVE, PASSIVE
 
 
-class MaskConfig(NamedTuple):
-    """Whether failures may strike while the backup tapes are being written.
-
-    A failure inside the backup/recovery stages can corrupt the recovery
-    target itself, after which the run may never converge; by default such
-    choices are downgraded to passive.
-    """
-
-    allow_failure_in_critical: bool = False
-
-
-class AlwaysPassive:
-    """Fault-free baseline: every choice is passive."""
-
-    def choose(self, step_index: int) -> str:
-        return PASSIVE
-
-
 class ScriptPolicy:
-    """Explicit schedule: step index -> active|aggressive, passive elsewhere."""
+    """Explicit schedule: step index -> active|aggressive, passive elsewhere.
+    The empty schedule is the fault-free daemon."""
 
     def __init__(self, schedule: dict[int, str]):
         for step, choice in schedule.items():
@@ -74,20 +56,21 @@ class RandomPolicy:
         return PASSIVE
 
 
-DaemonPolicy = AlwaysPassive | ScriptPolicy | RandomPolicy
+DaemonPolicy = ScriptPolicy | RandomPolicy
 
 
 def decide(policy: DaemonPolicy, step_index: int, in_critical_section: bool,
-           mask: MaskConfig) -> tuple[str, bool]:
+           allow_failure_in_critical: bool) -> tuple[str, bool]:
     """One daemon decision. Returns (choice, downgraded).
 
     The raw draw happens first; if it was aggressive inside a critical
-    section and the mask forbids that, the effective choice is passive and
-    the downgrade flag is set for the trace.
+    section and `allow_failure_in_critical` is off, the effective choice is
+    passive and the downgrade flag is set for the trace. A failure there can
+    corrupt the recovery target itself, after which the run may never
+    converge.
     """
     choice = policy.choose(step_index)
-    if (choice == AGGRESSIVE and in_critical_section
-            and not mask.allow_failure_in_critical):
+    if choice == AGGRESSIVE and in_critical_section and not allow_failure_in_critical:
         return PASSIVE, True
     return choice, False
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import sys
 from typing import NamedTuple
 
-from .daemon import AlwaysPassive, DaemonPolicy, MaskConfig, decide
+from .daemon import DaemonPolicy, ScriptPolicy, decide
 from .model import (
     ACTIVE,
     AGGRESSIVE,
@@ -91,17 +91,18 @@ class Configuration:
     """Full instantaneous description of a run. Owned by exactly one run."""
 
     __slots__ = (
-        "compiled", "policy", "mask", "tapes", "control",
+        "compiled", "policy", "allow_failure_in_critical", "tapes", "control",
         "ideal_state", "ideal_head", "ideal_halted", "ideal_steps", "replay_debt",
         "committed", "step_index", "last_digests",
         "faults_injected", "failures_injected", "recoveries", "checkpoints_committed",
     )
 
-    def __init__(self, compiled: CompiledMachine, policy: DaemonPolicy, mask: MaskConfig,
-                 tapes: dict[str, Tape], control, committed: Snapshot):
+    def __init__(self, compiled: CompiledMachine, policy: DaemonPolicy,
+                 allow_failure_in_critical: bool, tapes: dict[str, Tape], control,
+                 committed: Snapshot):
         self.compiled = compiled
         self.policy = policy
-        self.mask = mask
+        self.allow_failure_in_critical = allow_failure_in_critical
         self.tapes = tapes
         self.control = control
         self.ideal_state = compiled.base.initial
@@ -131,7 +132,7 @@ class Configuration:
 
 def init_configuration(compiled: CompiledMachine, word: tuple[str, ...],
                        policy: DaemonPolicy | None = None,
-                       mask: MaskConfig | None = None) -> Configuration:
+                       allow_failure_in_critical: bool = False) -> Configuration:
     """Build the starting configuration for one run.
 
     Master and user tapes hold the input word with heads at cell 1. The
@@ -156,8 +157,8 @@ def init_configuration(compiled: CompiledMachine, word: tuple[str, ...],
     committed = Snapshot(resume=machine.initial, ideal_steps=0)
     return Configuration(
         compiled=compiled,
-        policy=policy if policy is not None else AlwaysPassive(),
-        mask=mask if mask is not None else MaskConfig(),
+        policy=policy if policy is not None else ScriptPolicy({}),
+        allow_failure_in_critical=allow_failure_in_critical,
         tapes=tapes,
         control=control,
         committed=committed,
@@ -202,7 +203,8 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
     assert not isinstance(cfg.control, ShutdownControl), "machine already shut down"
     machine = cfg.compiled.base
 
-    choice, masked = decide(cfg.policy, cfg.step_index, cfg.in_critical_section(), cfg.mask)
+    choice, masked = decide(cfg.policy, cfg.step_index, cfg.in_critical_section(),
+                             cfg.allow_failure_in_critical)
     before = cfg.control.render()
     stage_label = cfg.control.stage if isinstance(cfg.control, StageControl) else 1
 

@@ -56,11 +56,6 @@ class Rewind(ReadOnly):
     def __init__(self, tapes: tuple[str, ...]):
         object.__setattr__(self, "tapes", tapes)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Rewind):
-            return NotImplemented
-        return self.tapes == other.tapes
-
     def render(self) -> str:
         return f"rewind({','.join(self.tapes)})"
 
@@ -76,12 +71,6 @@ class ScanCompare(ReadOnly):
         object.__setattr__(self, "on_equal", on_equal)
         object.__setattr__(self, "on_diff", on_diff)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScanCompare):
-            return NotImplemented
-        return ((self.tape_a, self.tape_b, self.stop, self.on_equal, self.on_diff)
-                == (other.tape_a, other.tape_b, other.stop, other.on_equal, other.on_diff))
-
     def render(self) -> str:
         return (f"compare({self.tape_a},{self.tape_b},stop={self.stop},"
                 f"eq={self.on_equal},diff={self.on_diff})")
@@ -94,11 +83,6 @@ class ScanCopy(ReadOnly):
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "stop", stop)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScanCopy):
-            return NotImplemented
-        return (self.src, self.dst, self.stop) == (other.src, other.dst, other.stop)
 
     def render(self) -> str:
         return f"copy({self.src}->{self.dst},stop={self.stop})"

@@ -15,7 +15,7 @@ part in the fault-free equivalence and invariant checks.
 import time
 from collections import Counter
 
-from tmfsim.daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy
+from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, run, run_basic_oracle
 from tmfsim.model import PLUS
 from tmfsim.stages import BACKUP, BACKUP_SYNCHRO, MASTER, SYNCHRO
@@ -64,15 +64,15 @@ class InvariantMonitor:
                 assert master.head == synchro.head
 
 
-def checked_run(compiled, word, policy, mask=None, max_steps=200_000):
+def checked_run(compiled, word, policy, max_steps=200_000):
     monitor = InvariantMonitor(compiled)
-    cfg = init_configuration(compiled, word, policy, mask or MaskConfig())
+    cfg = init_configuration(compiled, word, policy)
     result, records = run(cfg, max_steps=max_steps, monitor=monitor)
     return result, records, monitor
 
 
 def fault_free_trace(compiled, word):
-    result, records, _ = checked_run(compiled, word, AlwaysPassive())
+    result, records, _ = checked_run(compiled, word, ScriptPolicy({}))
     assert result.outcome == "shutdown"
     return result, records
 
@@ -84,7 +84,7 @@ def test_criterion_1_fault_free_oracle_equivalence(compiled_corpus):
         compiled, _ = compiled_corpus[name]
         for word in WORDS[name]:
             expected = run_basic_oracle(compiled.base, word)
-            result, _, _ = checked_run(compiled, word, AlwaysPassive())
+            result, _, _ = checked_run(compiled, word, ScriptPolicy({}))
             assert result.outcome == "shutdown", (name, word)
             assert result.final_master_word == expected, (name, word)
             checked += 1
@@ -162,7 +162,7 @@ def test_criterion_5_checkpoint_invariants(compiled_corpus):
     observed = Counter()
     for name in ORACLE_MACHINES:
         compiled, word = compiled_corpus[name]
-        result, _, monitor = checked_run(compiled, word, AlwaysPassive())
+        result, _, monitor = checked_run(compiled, word, ScriptPolicy({}))
         assert result.outcome == "shutdown"
         assert monitor.counts["stage2-entry"] == monitor.counts["stage2-marked"]
         assert monitor.counts["commit"] == result.checkpoints_committed > 0
@@ -238,8 +238,7 @@ def test_criterion_7b_unmasked_failure_during_backup_livelocks(compiled_corpus):
     tear_at = runs[-1][-1]
     script = ScriptPolicy({tear_at: "aggressive"})
 
-    unmasked = MaskConfig(allow_failure_in_critical=True)
-    cfg = init_configuration(compiled, word, script, unmasked)
+    cfg = init_configuration(compiled, word, script, allow_failure_in_critical=True)
     torn, _ = run(cfg, max_steps=20_000)
     assert torn.outcome == "step-limit"
     assert torn.recoveries >= 5
@@ -251,4 +250,4 @@ def test_criterion_7b_unmasked_failure_during_backup_livelocks(compiled_corpus):
     assert masked.final_master_word == expected
     print(f"[PASS] criterion 7b: failure at backup-copy step {tear_at} with masking "
           f"disabled live-locked ({torn.recoveries} recovery attempts); the default "
-          f"mask neutralizes the same schedule")
+          f"masking neutralizes the same schedule")

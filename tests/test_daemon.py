@@ -1,21 +1,17 @@
 import pytest
 
 from tmfsim import parse_script_file
-from tmfsim.daemon import (
-    AlwaysPassive,
-    MaskConfig,
-    RandomPolicy,
-    ScriptPolicy,
-    decide,
-)
+from tmfsim.daemon import RandomPolicy, ScriptPolicy, decide
 
-MASK = MaskConfig()
+MASK = False   # allow_failure_in_critical: the default, failures masked
 
 
 def test_always_passive():
-    policy = AlwaysPassive()
+    """The empty schedule is the fault-free daemon."""
+    policy = ScriptPolicy({})
     for step in (0, 1, 17, 10_000):
-        assert decide(policy, step, False, MASK) == ("passive", False)
+        for critical in (False, True):
+            assert decide(policy, step, critical, MASK) == ("passive", False)
 
 
 def test_script_schedule_semantics():
@@ -28,8 +24,7 @@ def test_script_downgrade_in_critical_section():
     policy = ScriptPolicy({5: "aggressive"})
     assert decide(policy, 5, True, MASK) == ("passive", True)
     # the override lets the failure through
-    allow = MaskConfig(allow_failure_in_critical=True)
-    assert decide(policy, 5, True, allow) == ("aggressive", False)
+    assert decide(policy, 5, True, True) == ("aggressive", False)
     # faults are never masked
     fault = ScriptPolicy({5: "active"})
     assert decide(fault, 5, True, MASK) == ("active", False)

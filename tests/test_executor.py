@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmfsim.daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy
+from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import (
     OracleStepLimit,
     RunResult,
@@ -42,7 +42,7 @@ def in_user_control(cfg):
 
 def first_user_step(compiled, word):
     """Step index of the first computation step in a fault-free run."""
-    cfg = init_configuration(compiled, word, AlwaysPassive())
+    cfg = init_configuration(compiled, word, ScriptPolicy({}))
     step_until(cfg, in_user_control)
     return cfg.step_index
 
@@ -157,7 +157,7 @@ class TestStep:
         compiled, word = unary
         # Zero the last 1: the next rule, q0 b -> qf *, opens a check that
         # would resume qf, while the last commit resumes q0. The check fails.
-        _, records = run(init_configuration(compiled, word, AlwaysPassive()))
+        _, records = run(init_configuration(compiled, word, ScriptPolicy({})))
         k = [r.step for r in records if r.before == "user:q0"][-2]
         cfg = init_configuration(compiled, word, ScriptPolicy({k: "active"}))
         records = step_until(cfg, lambda c: isinstance(c.control, StageControl)
@@ -180,7 +180,7 @@ class TestStep:
 
     def test_halting_state_opens_summary_check(self, unary):
         compiled, word = unary
-        cfg = init_configuration(compiled, word, AlwaysPassive())
+        cfg = init_configuration(compiled, word, ScriptPolicy({}))
         step_until(cfg, lambda c: in_user_control(c) and c.control.state == "qf")
         recs = step(cfg)
         assert cfg.control.stage == 7
@@ -191,7 +191,7 @@ class TestRun:
     def test_unary_passive_run_matches_oracle(self, unary):
         compiled, word = unary
         oracle = run_basic_oracle(compiled.base, word)
-        result, records = run(init_configuration(compiled, word, AlwaysPassive()))
+        result, records = run(init_configuration(compiled, word, ScriptPolicy({})))
         assert result.outcome == "shutdown"
         assert result.final_master_word == oracle == ("1", "1", "1")
         assert result.faults_injected == result.failures_injected == result.recoveries == 0
@@ -227,7 +227,7 @@ class TestRun:
 
     def test_corrupted_position_tapes_jam_with_plus_not_found(self, unary):
         compiled, word = unary
-        cfg = init_configuration(compiled, word, AlwaysPassive())
+        cfg = init_configuration(compiled, word, ScriptPolicy({}))
         step_until(cfg, lambda c: isinstance(c.control, StageControl)
                    and (c.control.stage, c.control.micro_pc) == (4, 5))
         for name in (SYNCHRO, BACKUP_SYNCHRO):
@@ -332,7 +332,7 @@ class TestRun:
                     assert c.tapes[SYNCHRO].cells.count(PLUS) == 1
                     counts[event] += 1
 
-        result, _ = run(init_configuration(compiled, word, AlwaysPassive()), monitor=monitor)
+        result, _ = run(init_configuration(compiled, word, ScriptPolicy({})), monitor=monitor)
         assert result.outcome == "shutdown"
         assert counts["stage2-entry"] == counts["stage2-marked"] == 3
 
@@ -341,7 +341,7 @@ class TestRun:
         """run(monitor=f) calls f(records, cfg) once per completed step; the
         record lists it passes, concatenated, are the records run returns."""
         compiled, word = compiled_corpus[name]
-        runs = [(AlwaysPassive(), 200_000)]
+        runs = [(ScriptPolicy({}), 200_000)]
         runs += [(RandomPolicy(0.05, 0.01, seed), 2_000) for seed in range(5)]
         for policy, max_steps in runs:
             calls = []
@@ -442,12 +442,8 @@ def test_run_result_is_a_read_only_record():
         result.steps_used = 0
 
 
-def test_snapshot_and_mask_are_read_only_records():
-    snapshot, mask = Snapshot(resume="q0", ideal_steps=0), MaskConfig()
-    assert (Snapshot._fields, MaskConfig._fields) == (
-        ("resume", "ideal_steps"), ("allow_failure_in_critical",))
-    assert mask == MaskConfig(allow_failure_in_critical=False)
+def test_snapshot_is_a_read_only_record():
+    snapshot = Snapshot(resume="q0", ideal_steps=0)
+    assert Snapshot._fields == ("resume", "ideal_steps")
     with pytest.raises(AttributeError):
         snapshot.ideal_steps = 1
-    with pytest.raises(AttributeError):
-        mask.allow_failure_in_critical = True

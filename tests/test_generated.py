@@ -85,3 +85,10 @@ def test_every_failing_run_lost_the_synchro_marker_first(fault_free_runs):
     """Item 5's defect is the only way a fault-free run fails: each failing
     run overwrote cell 0 of the synchro tape before it ended."""
     assert all(lost for result, oracle, lost in fault_free_runs if failed(result, oracle))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: the synchro tape's marker is overwritten also in "
+                          "runs that still shut down with the oracle word")
+def test_no_fault_free_run_overwrites_the_synchro_marker(fault_free_runs):
+    assert not any(lost for _, _, lost in fault_free_runs)

@@ -11,8 +11,6 @@ behaviour on purpose updates GOLDEN_SHA256 and says why.
 import hashlib
 
 from tmfsim import (
-    AlwaysPassive,
-    MaskConfig,
     RandomPolicy,
     ScriptPolicy,
     compile_machine,
@@ -45,19 +43,18 @@ def golden_digest() -> str:
 
     for compiled, word in machines:
         digest.update(emit_pi(compiled).encode())
-        add(*run(init_configuration(compiled, word, AlwaysPassive()), with_digests=True))
+        add(*run(init_configuration(compiled, word, ScriptPolicy({})), with_digests=True))
 
     for row, choice in SWEEPS:
         compiled, word = machines[row]
-        baseline, _ = run(init_configuration(compiled, word, AlwaysPassive()))
+        baseline, _ = run(init_configuration(compiled, word, ScriptPolicy({})))
         for k in range(baseline.steps_used):
             add(*run(init_configuration(compiled, word, ScriptPolicy({k: choice}))))
 
     for compiled, word in machines:
         for allow in (False, True):
             for seed in SEEDS:
-                cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, seed),
-                                         MaskConfig(allow_failure_in_critical=allow))
+                cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, seed), allow)
                 add(*run(cfg, max_steps=RANDOM_MAX_STEPS, with_digests=True))
 
     return digest.hexdigest()

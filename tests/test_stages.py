@@ -231,7 +231,7 @@ class TestAllocationExits:
     def test_plus_copy_without_plus_stops_at_the_source_extent(self, stage, src, dst):
         compiled = compile_machine(small_machine())
         op = compiled.stage_programs[stage].ops[3]
-        assert op == ScanCopy(src, dst, "plus")
+        assert op.render() == ScanCopy(src, dst, "plus").render()
         tapes = tape_set(**{src: ("b", "b"), dst: ("1", "1", "1", "+")})
         tapes[src].head = tapes[dst].head = 0
         control, actions = self.run_op(compiled, StageControl(stage, 3, "q0"), tapes)
@@ -350,14 +350,18 @@ def test_shared_objects_are_read_only_slots(obj):
     assert getattr(obj, field) is before
 
 
-def test_ops_equal_ops_with_the_same_fields():
+def test_ops_render_the_same_text_as_ops_with_the_same_fields():
+    """Ops compare by identity; their rendered text, which traces and
+    `compile` show, is what names them."""
     ops = STAGE_PROGRAMS[4].ops
-    assert ops[:2] == (Rewind((MASTER, BACKUP)),
-                       ScanCompare(MASTER, BACKUP, "empty", on_equal=NEXT, on_diff=3))
-    assert ops[0] != Rewind((MASTER, SYNCHRO))
-    assert ops[1] != ScanCompare(MASTER, BACKUP, "empty", on_equal=NEXT, on_diff=5)
-    assert STAGE_PROGRAMS[3].ops[1] == ScanCopy(MASTER, BACKUP, "empty")
-    assert STAGE_PROGRAMS[3].ops[1] != ScanCopy(BACKUP, MASTER, "empty")
+    assert [op.render() for op in ops[:2]] == [
+        Rewind((MASTER, BACKUP)).render(),
+        ScanCompare(MASTER, BACKUP, "empty", on_equal=NEXT, on_diff=3).render()]
+    assert ops[0].render() != Rewind((MASTER, SYNCHRO)).render()
+    assert ops[1].render() != ScanCompare(MASTER, BACKUP, "empty", on_equal=NEXT,
+                                          on_diff=5).render()
+    assert STAGE_PROGRAMS[3].ops[1].render() == ScanCopy(MASTER, BACKUP, "empty").render()
+    assert STAGE_PROGRAMS[3].ops[1].render() != ScanCopy(BACKUP, MASTER, "empty").render()
 
 
 content = st.lists(st.sampled_from(["0", "1", "x"]), max_size=64)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tmfsim.cli import main
-from tmfsim.daemon import AlwaysPassive, MaskConfig, RandomPolicy, ScriptPolicy
+from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, run, step
 from tmfsim.model import JamError, ShutdownControl
 from tmfsim.stages import TAPE_ORDER
@@ -140,7 +140,7 @@ class TestTraceFormat:
         """Records with equal `before`, `after` or `action` text hold the same
         string object. The fault-heavy runs repeat fault actions."""
         compiled, word = compiled_corpus[name]
-        policy = AlwaysPassive() if p_fault is None else RandomPolicy(p_fault, 0.01, 7)
+        policy = ScriptPolicy({}) if p_fault is None else RandomPolicy(p_fault, 0.01, 7)
         _, records = run(init_configuration(compiled, word, policy), max_steps=5_000)
         first = {}
         for record in records:
@@ -183,8 +183,7 @@ class TestTraceFormat:
         executor's, hash and print alike, and copy and pickle as they do."""
         compiled, word = compiled_corpus[name]
         for with_digests in (False, True):
-            cfg = init_configuration(compiled, word, RandomPolicy(0.1, 0.05, 3),
-                                     MaskConfig(allow_failure_in_critical=allow))
+            cfg = init_configuration(compiled, word, RandomPolicy(0.1, 0.05, 3), allow)
             _, records = run(cfg, max_steps=5_000, with_digests=with_digests)
             if mode == "summary":
                 records = summarize(records)
@@ -220,8 +219,7 @@ class TestTraceFormat:
         in the step's last record, the digests equal a fresh hash of the cells."""
         compiled, word = compiled_corpus[name]
         for seed in range(10):
-            cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, seed),
-                                     MaskConfig(allow_failure_in_critical=allow))
+            cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, seed), allow)
             while not isinstance(cfg.control, ShutdownControl) and cfg.step_index < 2_000:
                 try:
                     records = step(cfg, with_digests=True)
@@ -233,7 +231,7 @@ class TestTraceFormat:
 
     def test_summary_keeps_the_notable_records(self, unary):
         compiled, word = unary
-        cfg = init_configuration(compiled, word, AlwaysPassive())
+        cfg = init_configuration(compiled, word, ScriptPolicy({}))
         _, records = run(cfg)
         summary = summarize(records)
         assert summary
@@ -313,6 +311,22 @@ class TestCliRun:
                                 "--daemon", "script", "--daemon-script", str(script)], capsys)
         assert code == 0
         assert "word: 1 1 1" in out
+
+    @pytest.mark.parametrize("name", MACHINE_NAMES)
+    def test_passive_daemon_is_the_empty_schedule(self, tmp_path, capsys, name):
+        """`--daemon passive` runs as a script daemon with an empty schedule:
+        the same printed outcome, the same full trace, the same exit code."""
+        empty = tmp_path / "empty-schedule"
+        empty.write_text("")
+        seen = []
+        for daemon in (["passive"], ["script", "--daemon-script", str(empty)]):
+            trace = tmp_path / f"trace-{daemon[0]}.txt"
+            code, out, err = run_cli(["run", "-m", corpus_meta(name), "--daemon", *daemon,
+                                      "--trace", "full", "--digests", "--trace-out",
+                                      str(trace)], capsys)
+            seen.append((code, out, err, trace.read_bytes()))
+        assert seen[0] == seen[1]
+        assert seen[0][3]
 
     def test_run_random_daemon_deterministic(self, capsys):
         args = ["run", "-m", corpus_meta("succ"), "--daemon", "random",
