@@ -256,9 +256,9 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
                     raise UndefinedRule(f"no rule for ({state}, {read})")
             debt_open = cfg.replay_debt > 0
             # The position tape is kept in lockstep: erase the cell (clearing
-            # any old "+") and mirror the move.
+            # any old "+", and keeping the marker at cell 0) and mirror the move.
             master.write(rule.write)
-            synchro.write(machine.alphabet.empty)
+            synchro.write(MARKER if synchro.head == 0 else machine.alphabet.empty)
             master.move(rule.move)
             synchro.move(rule.move)
             if debt_open:

@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 MARKER = "!"
 PLUS = "+"
+# Cell 0 of a position-tracking tape when it also carries the position mark.
+MARKER_PLUS = "!+"
 ARROW = "->"
 RESERVED_TOKENS = (MARKER, ARROW)
 

@@ -10,10 +10,12 @@ per process, at import, into `STAGE_PROGRAMS`, and `compile_machine` hands
 every machine the same frozen program objects instead of building its own.
 
 Position-tracking ("synchro") tapes hold the empty symbol everywhere except a
-single "+" recording the master head position as of the last checkpoint.
-Scans over a master/backup/user pair therefore terminate on the first shared
-empty cell, while scans over the synchro pair terminate on the "+" itself so
-that backing up and restoring preserve the mark. A copy writes its terminator
+single "+" recording the master head position as of the last checkpoint;
+when that position is cell 0, the cell holds "!+", the marker and the mark
+in one symbol. Rewinds stop on either marker symbol. Scans over a
+master/backup/user pair terminate on the first shared empty cell, while
+scans over the synchro pair terminate on the "+" or "!+" itself so that
+backing up and restoring preserve the mark. A copy writes its terminator
 before stopping; cells beyond it are stale and invisible to every comparison.
 """
 
@@ -25,6 +27,7 @@ from dataclasses import dataclass, replace
 from .model import (
     JamError,
     MARKER,
+    MARKER_PLUS,
     PLUS,
     ReadOnly,
     ShutdownControl,
@@ -226,8 +229,8 @@ def _goto(target: int | str, control: StageControl) -> StageControl:
     return StageControl(stage=target, micro_pc=0, resume=control.resume)
 
 
-def _stop_symbol(stop: str, empty: str) -> str:
-    return PLUS if stop == STOP_PLUS else empty
+def _stop_symbols(stop: str, empty: str) -> tuple[str, ...]:
+    return (PLUS, MARKER_PLUS) if stop == STOP_PLUS else (empty,)
 
 
 def stage_step(compiled: CompiledMachine, control: StageControl,
@@ -249,25 +252,26 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
     empty = compiled.base.alphabet.empty
 
     if isinstance(op, MarkPlus):
-        tapes[SYNCHRO].write(PLUS)
+        synchro = tapes[SYNCHRO]
+        synchro.write(MARKER_PLUS if synchro.head == 0 else PLUS)
         return StageStep(_goto(NEXT, control), action)
 
     if isinstance(op, Rewind):
         for name in op.tapes:
             tape = tapes[name]
-            if tape.read() != MARKER:
+            if tape.read() not in (MARKER, MARKER_PLUS):
                 tape.move("L")
-        if all(tapes[n].read() == MARKER for n in op.tapes):
+        if all(tapes[n].read() in (MARKER, MARKER_PLUS) for n in op.tapes):
             return StageStep(_goto(NEXT, control), action)
         return StageStep(control, action)
 
     if isinstance(op, ScanCompare):
         a, b = tapes[op.tape_a], tapes[op.tape_b]
-        stop = _stop_symbol(op.stop, empty)
+        stop = _stop_symbols(op.stop, empty)
         sym_a, sym_b = a.read(), b.read()
         if sym_a != sym_b:
             return StageStep(_goto(op.on_diff, control), action)
-        if sym_a == stop:
+        if sym_a in stop:
             if control.stage == 4 and op.stop == STOP_PLUS:
                 action = "commit"
             return StageStep(_goto(op.on_equal, control), action)
@@ -281,10 +285,10 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
 
     if isinstance(op, ScanCopy):
         src, dst = tapes[op.src], tapes[op.dst]
-        stop = _stop_symbol(op.stop, empty)
+        stop = _stop_symbols(op.stop, empty)
         sym = src.read()
         dst.write(sym)
-        if sym == stop or src.head >= src.allocated:
+        if sym in stop or src.head >= src.allocated:
             return StageStep(_goto(NEXT, control), action)
         src.move("R")
         dst.move("R")
@@ -292,7 +296,7 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
 
     if isinstance(op, SeekPlus):
         synchro, master = tapes[SYNCHRO], tapes[MASTER]
-        if synchro.read() == PLUS:
+        if synchro.read() in (PLUS, MARKER_PLUS):
             return StageStep(_goto(NEXT, control), action)
         if synchro.head >= synchro.allocated:
             raise PlusNotFound(f"no '+' on the position tape (stage {control.stage})")

@@ -198,11 +198,9 @@ class TestRun:
         assert result.checkpoints_committed == 4  # opening pass + 2 walk cells + append
         assert records[-1].after == "shutdown"
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="known defect: a user rule that reads cell 0 erases the "
-                              "synchro tape's marker, and a later recovery rewind runs "
-                              "off the tape (README, Limitations)")
     def test_failure_after_a_cell_zero_read_recovers(self, succ):
+        """A user rule that reads cell 0 (`succ`'s carry) keeps the synchro
+        tape's marker, so a later recovery rewind stops there."""
         compiled, _ = succ
         cfg = init_configuration(compiled, ("1", "1", "1"), ScriptPolicy({190: "aggressive"}))
         result, _ = run(cfg)

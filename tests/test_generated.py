@@ -14,7 +14,7 @@ import random
 import pytest
 
 from tmfsim.executor import OracleStepLimit, init_configuration, run, run_basic_oracle
-from tmfsim.model import MARKER, Alphabet, BasicMachine, Rule, validate_machine
+from tmfsim.model import MARKER, MARKER_PLUS, Alphabet, BasicMachine, Rule, validate_machine
 from tmfsim.stages import SYNCHRO, compile_machine
 
 MACHINES = 100
@@ -54,13 +54,13 @@ def generated_machines():
 @pytest.fixture(scope="module")
 def fault_free_runs():
     """(result, oracle word, whether cell 0 of the synchro tape ever held
-    anything but `!`) for each generated machine's fault-free run."""
+    anything but `!` or `!+`) for each generated machine's fault-free run."""
     runs = []
     for machine, word, oracle in generated_machines():
         lost = []
 
         def monitor(records, cfg):
-            if not lost and cfg.tapes[SYNCHRO].cells[0] != MARKER:
+            if not lost and cfg.tapes[SYNCHRO].cells[0] not in (MARKER, MARKER_PLUS):
                 lost.append(cfg.step_index)
 
         cfg = init_configuration(compile_machine(machine), word)
@@ -73,10 +73,6 @@ def failed(result, oracle):
     return result.outcome != "shutdown" or result.final_master_word != oracle
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5: a user step or a checkpoint at cell 0 of the "
-                          "master tape overwrites the synchro tape's marker, and a later "
-                          "rewind runs off the tape")
 def test_every_fault_free_run_shuts_down_with_the_oracle_word(fault_free_runs):
     assert not any(failed(result, oracle) for result, oracle, _ in fault_free_runs)
 
@@ -87,8 +83,5 @@ def test_every_failing_run_lost_the_synchro_marker_first(fault_free_runs):
     assert all(lost for result, oracle, lost in fault_free_runs if failed(result, oracle))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5: the synchro tape's marker is overwritten also in "
-                          "runs that still shut down with the oracle word")
 def test_no_fault_free_run_overwrites_the_synchro_marker(fault_free_runs):
     assert not any(lost for _, _, lost in fault_free_runs)

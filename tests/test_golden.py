@@ -23,7 +23,7 @@ from tmfsim import (
 
 from conftest import CORPUS
 
-GOLDEN_SHA256 = "9265c7dec94f5b96497d3c1dd701bd4ef60d4c2cc8bcad90ad3bf257049a2a66"
+GOLDEN_SHA256 = "f29bb773ab805b2f104caa1350a8d8905c129337b3b1e75addf38a98909267b3"
 
 ROWS = 4                  # rows of corpus/all.meta: unary, succ, palin, diverge
 SWEEPS = ((1, "active"), (0, "aggressive"))   # (row, daemon choice)

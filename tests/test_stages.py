@@ -13,6 +13,7 @@ from tmfsim.model import (
     ShutdownControl,
     StageControl,
     Tape,
+    UserControl,
     validate_machine,
 )
 from tmfsim.stages import (
@@ -166,6 +167,28 @@ class TestStageStep:
             control = result.control
         assert tapes[MASTER].head == 3
         assert tapes[SYNCHRO].read() == "+"
+
+    def test_a_checkpoint_at_cell_zero_marks_and_finds_the_marker_cell(self):
+        """With the master head at cell 0, stage 2 marks the position as
+        `!+`, which rewinds stop on, backup copies, compares and seek end
+        on, so the checkpoint commits and resumes at cell 0."""
+        compiled = compile_machine(small_machine())
+        tapes = tape_set(master=("1",), user=("1",), backup=("1",), backup_synchro=("+",))
+        tapes[MASTER].head = tapes[SYNCHRO].head = tapes[USER].head = 0
+        control = StageControl(2, 0, "q0")
+        actions = []
+        for _ in range(100):
+            result = stage_step(compiled, control, tapes)
+            actions.append(result.action)
+            control = result.control
+            if not isinstance(control, StageControl):
+                break
+        assert control == UserControl("q0")
+        assert "commit" in actions
+        assert tapes[SYNCHRO].cells == ["!+"]
+        # The copy stops at `!+`; the old "+" past it is a stale tail.
+        assert tapes[BACKUP_SYNCHRO].cells == ["!+", "+"]
+        assert tapes[MASTER].head == tapes[SYNCHRO].head == 0
 
     def test_seek_plus_jams_without_mark(self):
         compiled = compile_machine(small_machine())
