@@ -39,16 +39,7 @@ from .model import (
     UserControl,
     ValidatedMachine,
 )
-from .stages import (
-    BACKUP,
-    BACKUP_SYNCHRO,
-    CompiledMachine,
-    MASTER,
-    SYNCHRO,
-    TAPE_ORDER,
-    USER,
-    stage_step,
-)
+from .stages import CompiledMachine, MASTER, SYNCHRO, USER, stage_step
 from .trace import TraceRecord, digest_tapes
 
 CRITICAL_STAGES = (3, 4, 5, 6)
@@ -98,7 +89,7 @@ class Configuration:
     )
 
     def __init__(self, compiled: CompiledMachine, policy: DaemonPolicy,
-                 allow_failure_in_critical: bool, tapes: dict[str, Tape], control,
+                 allow_failure_in_critical: bool, tapes: tuple[Tape, ...], control,
                  committed: Snapshot):
         self.compiled = compiled
         self.policy = policy
@@ -121,13 +112,11 @@ class Configuration:
         self.checkpoints_committed = 0
 
     def heads(self) -> tuple[int, int, int, int, int]:
-        return tuple(self.tapes[name].head for name in TAPE_ORDER)  # type: ignore[return-value]
+        master, synchro, backup, backup_synchro, user = self.tapes
+        return (master.head, synchro.head, backup.head, backup_synchro.head, user.head)
 
     def master_word(self) -> tuple[str, ...]:
         return self.tapes[MASTER].word()
-
-    def in_critical_section(self) -> bool:
-        return isinstance(self.control, StageControl) and self.control.stage in CRITICAL_STAGES
 
 
 def init_configuration(compiled: CompiledMachine, word: tuple[str, ...],
@@ -146,13 +135,13 @@ def init_configuration(compiled: CompiledMachine, word: tuple[str, ...],
         if sym not in machine.alphabet.input:
             raise ValueError(f"input word symbol {sym!r} not in the input alphabet")
     empty = machine.alphabet.empty
-    tapes = {
-        MASTER: Tape(empty, word, head=1),
-        USER: Tape(empty, word, head=1),
-        SYNCHRO: Tape(empty, (PLUS,), head=1),
-        BACKUP: Tape(empty, word, head=0),
-        BACKUP_SYNCHRO: Tape(empty, (PLUS,), head=0),
-    }
+    tapes = (
+        Tape(empty, word, head=1),       # MASTER
+        Tape(empty, (PLUS,), head=1),    # SYNCHRO
+        Tape(empty, word, head=0),       # BACKUP
+        Tape(empty, (PLUS,), head=0),    # BACKUP_SYNCHRO
+        Tape(empty, word, head=1),       # USER
+    )
     control = StageControl(stage=3, micro_pc=0, resume=machine.initial)
     committed = Snapshot(resume=machine.initial, ideal_steps=0)
     return Configuration(
@@ -192,6 +181,22 @@ def _enter_recovery(cfg: Configuration) -> StageControl:
     return StageControl(stage=5, micro_pc=0, resume=cfg.committed.resume)
 
 
+def _digests(cfg: Configuration) -> tuple[str, str, str, str, str]:
+    """The tape digests for a record: the tuple of the last record taken
+    with them while no tape has changed since, so that records share it."""
+    digests = digest_tapes(cfg.tapes)
+    if digests == cfg.last_digests:
+        return cfg.last_digests
+    cfg.last_digests = digests
+    return digests
+
+
+def _record(cfg: Configuration, choice: str, phase: str, stage: int, before: str,
+            after: str, action: str, masked: bool, with_digests: bool) -> TraceRecord:
+    return TraceRecord(cfg.step_index, choice, phase, stage, before, after, action,
+                       cfg.heads(), masked, _digests(cfg) if with_digests else None)
+
+
 def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
     """Execute one two-tact step and return its trace records.
 
@@ -200,46 +205,60 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
     only account of what the step did: checkpoint entries, marks, commits
     and verifications are named by their `action`.
     """
-    assert not isinstance(cfg.control, ShutdownControl), "machine already shut down"
+    control = cfg.control
+    assert not isinstance(control, ShutdownControl), "machine already shut down"
+    staged = isinstance(control, StageControl)
+    choice, masked = decide(cfg.policy, cfg.step_index,
+                            staged and control.stage in CRITICAL_STAGES,
+                            cfg.allow_failure_in_critical)
+    before = control.render()
+
+    if staged and choice != AGGRESSIVE:
+        # A stage micro-step, nearly every step of a run.
+        stage = control.stage
+        after, action = stage_step(cfg.compiled, control, cfg.tapes)
+        if action == "commit":
+            cfg.committed = Snapshot(resume=control.resume, ideal_steps=cfg.ideal_steps)
+            cfg.checkpoints_committed += 1
+        if isinstance(after, StageControl):
+            if after.stage == 5 and stage != 5:
+                after = _enter_recovery(cfg)
+        elif isinstance(after, ShutdownControl) and not cfg.ideal_halted:
+            # The summary check passed before the reference halted: the
+            # master reached the halting state early, so its word is not
+            # the reference's yet.
+            after = _enter_recovery(cfg)
+            action = "summary-recover"
+        cfg.control = after
+        records = [TraceRecord(cfg.step_index, choice, "program", stage, before, after.render(),
+                               action, cfg.heads(), masked,
+                               _digests(cfg) if with_digests else None)]
+        cfg.step_index += 1
+        return records
+
     machine = cfg.compiled.base
-
-    choice, masked = decide(cfg.policy, cfg.step_index, cfg.in_critical_section(),
-                             cfg.allow_failure_in_critical)
-    before = cfg.control.render()
-    stage_label = cfg.control.stage if isinstance(cfg.control, StageControl) else 1
-
-    def record(phase: str, action: str, after: str) -> TraceRecord:
-        digests = None
-        if with_digests:
-            digests = digest_tapes(cfg.tapes)
-            if digests == cfg.last_digests:
-                digests = cfg.last_digests
-            else:
-                cfg.last_digests = digests
-        return TraceRecord(
-            step=cfg.step_index, daemon=choice, phase=phase, stage=stage_label,
-            before=before, after=after, action=action, heads=cfg.heads(),
-            masked=masked, digests=digests,
-        )
-
-    records: list[TraceRecord]
-
+    stage_label = control.stage if staged else 1
     if choice == AGGRESSIVE:
         # Failure and repair collapse into one step: three records under one
         # step index, then control restarts in recovery.
         cfg.failures_injected += 1
-        rec_fail = record("failure", "failure", before)
-        rec_stab = record("repair", "stabilize", before)
+        rec_fail = _record(cfg, choice, "failure", stage_label, before, before, "failure",
+                           masked, with_digests)
+        rec_stab = _record(cfg, choice, "repair", stage_label, before, before, "stabilize",
+                           masked, with_digests)
         cfg.control = _enter_recovery(cfg)
-        rec_restore = record("repair", "restore", cfg.control.render())
+        rec_restore = _record(cfg, choice, "repair", stage_label, before,
+                              cfg.control.render(), "restore", masked, with_digests)
         records = [rec_fail, rec_stab, rec_restore]
 
-    elif isinstance(cfg.control, UserControl):
-        state = cfg.control.state
+    else:
+        assert isinstance(control, UserControl)
+        state = control.state
         if state == machine.halting:
             # Computation proper is over; run the summary check.
             cfg.control = StageControl(stage=7, micro_pc=0, resume=cfg.committed.resume)
-            records = [record("program", "normal", cfg.control.render())]
+            records = [_record(cfg, choice, "program", 1, before, cfg.control.render(),
+                               "normal", masked, with_digests)]
         else:
             master, synchro = cfg.tapes[MASTER], cfg.tapes[SYNCHRO]
             read = master.read()
@@ -271,26 +290,8 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
                     action = "checkpoint-enter"
             else:
                 cfg.control = UserControl(rule.to_state)
-            records = [record("program", action, cfg.control.render())]
-
-    else:
-        assert isinstance(cfg.control, StageControl)
-        result = stage_step(cfg.compiled, cfg.control, cfg.tapes)
-        if result.action == "commit":
-            cfg.committed = Snapshot(resume=cfg.control.resume, ideal_steps=cfg.ideal_steps)
-            cfg.checkpoints_committed += 1
-        cfg.control = result.control
-        action = result.action
-        if isinstance(cfg.control, StageControl):
-            if cfg.control.stage == 5 and stage_label != 5:
-                cfg.control = _enter_recovery(cfg)
-        elif isinstance(cfg.control, ShutdownControl) and not cfg.ideal_halted:
-            # The summary check passed before the reference halted: the
-            # master reached the halting state early, so its word is not
-            # the reference's yet.
-            cfg.control = _enter_recovery(cfg)
-            action = "summary-recover"
-        records = [record("program", action, cfg.control.render())]
+            records = [_record(cfg, choice, "program", 1, before, cfg.control.render(),
+                               action, masked, with_digests)]
 
     cfg.step_index += 1
     return records

@@ -22,9 +22,10 @@ before stopping; cells beyond it are stale and invisible to every comparison.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .model import (
+    BoundaryViolation,
     JamError,
     MARKER,
     MARKER_PLUS,
@@ -37,9 +38,10 @@ from .model import (
     ValidatedMachine,
 )
 
-MASTER, SYNCHRO, BACKUP, BACKUP_SYNCHRO, USER = (
-    "master", "synchro", "backup", "backup_synchro", "user")
-TAPE_ORDER = (MASTER, SYNCHRO, BACKUP, BACKUP_SYNCHRO, USER)
+# A configuration's five tapes are a tuple in this order; the names are used
+# only to render ops.
+MASTER, SYNCHRO, BACKUP, BACKUP_SYNCHRO, USER = range(5)
+TAPE_NAMES = ("master", "synchro", "backup", "backup_synchro", "user")
 
 # Branch targets inside stage programs: an int names a stage, NEXT falls
 # through to the following micro-op.
@@ -48,95 +50,223 @@ NEXT = "next"
 STOP_EMPTY = "empty"
 STOP_PLUS = "plus"
 
+# What a rewind stops on, and what a position scan or seek stops on.
+MARKERS = (MARKER, MARKER_PLUS)
+POSITION_MARKS = (PLUS, MARKER_PLUS)
+
 
 class PlusNotFound(JamError):
     """A position-restoring seek ran out of written tape without finding "+"."""
 
 
-class Rewind(ReadOnly):
-    __slots__ = ("tapes",)
+class StageStep(NamedTuple):
+    """Outcome of one stage micro-step.
 
-    def __init__(self, tapes: tuple[str, ...]):
+    control: the follow-up program control. action: the step's trace action,
+    "commit" when the stage-4 position compare reaches its "+", otherwise
+    "micro:<op>" for the micro-op that ran.
+    """
+
+    control: StageControl | UserControl | ShutdownControl
+    action: str
+
+
+def _goto(target: int | str, control: StageControl) -> StageControl:
+    if target == NEXT:
+        return StageControl(control.stage, control.micro_pc + 1, control.resume)
+    assert isinstance(target, int)
+    return StageControl(target, 0, control.resume)
+
+
+# Each op's `step(control, tapes)` runs one cell-granular micro-step of that
+# op and returns its StageStep. Heads move by direct assignment; cells change
+# only through `Tape.write`, which keeps the digest cache right. `action` is
+# the op's trace action, `micro:<op>`, rendered once when the op is built.
+
+class Rewind(ReadOnly):
+    __slots__ = ("tapes", "action")
+
+    def __init__(self, tapes: tuple[int, ...]):
         object.__setattr__(self, "tapes", tapes)
+        object.__setattr__(self, "action", _action(self))
 
     def render(self) -> str:
-        return f"rewind({','.join(self.tapes)})"
+        return f"rewind({','.join(TAPE_NAMES[index] for index in self.tapes)})"
+
+    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+        at_markers = True
+        for index in self.tapes:
+            tape = tapes[index]
+            cells, head = tape.cells, tape.head
+            if head < len(cells) and cells[head] in MARKERS:
+                continue
+            if head == 0:
+                raise BoundaryViolation("head moved left from cell 0")
+            head = tape.head = head - 1
+            if head >= len(cells) or cells[head] not in MARKERS:
+                at_markers = False
+        if at_markers:
+            return StageStep(_goto(NEXT, control), self.action)
+        return StageStep(control, self.action)
 
 
 class ScanCompare(ReadOnly):
-    __slots__ = ("tape_a", "tape_b", "stop", "on_equal", "on_diff")
+    """Compare two tapes cell by cell up to their first shared terminator.
+    With `commits`, reaching the terminator is the checkpoint's commit."""
 
-    def __init__(self, tape_a: str, tape_b: str, stop: str, on_equal: int | str,
-                 on_diff: int | str):
+    __slots__ = ("tape_a", "tape_b", "stop", "on_equal", "on_diff", "action", "stop_action")
+
+    def __init__(self, tape_a: int, tape_b: int, stop: str, on_equal: int | str,
+                 on_diff: int | str, commits: bool = False):
         object.__setattr__(self, "tape_a", tape_a)
         object.__setattr__(self, "tape_b", tape_b)
         object.__setattr__(self, "stop", stop)
         object.__setattr__(self, "on_equal", on_equal)
         object.__setattr__(self, "on_diff", on_diff)
+        object.__setattr__(self, "action", _action(self))
+        object.__setattr__(self, "stop_action", "commit" if commits else self.action)
 
     def render(self) -> str:
-        return (f"compare({self.tape_a},{self.tape_b},stop={self.stop},"
-                f"eq={self.on_equal},diff={self.on_diff})")
+        return (f"compare({TAPE_NAMES[self.tape_a]},{TAPE_NAMES[self.tape_b]},"
+                f"stop={self.stop},eq={self.on_equal},diff={self.on_diff})")
+
+    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+        a, b = tapes[self.tape_a], tapes[self.tape_b]
+        cells_a, head_a, cells_b, head_b = a.cells, a.head, b.cells, b.head
+        sym = cells_a[head_a] if head_a < len(cells_a) else a.empty
+        if sym != (cells_b[head_b] if head_b < len(cells_b) else b.empty):
+            return StageStep(_goto(self.on_diff, control), self.action)
+        if sym in POSITION_MARKS if self.stop == STOP_PLUS else sym == a.empty:
+            return StageStep(_goto(self.on_equal, control), self.stop_action)
+        if head_a >= len(cells_a) and head_b >= len(cells_b):
+            # Uniform filler from here on: the scan can never distinguish the
+            # tapes again, but no terminator was seen either, so no commit.
+            return StageStep(_goto(self.on_equal, control), self.action)
+        a.head = head_a + 1
+        b.head = head_b + 1
+        return StageStep(control, self.action)
 
 
 class ScanCopy(ReadOnly):
-    __slots__ = ("src", "dst", "stop")
+    __slots__ = ("src", "dst", "stop", "action")
 
-    def __init__(self, src: str, dst: str, stop: str):
+    def __init__(self, src: int, dst: int, stop: str):
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "action", _action(self))
 
     def render(self) -> str:
-        return f"copy({self.src}->{self.dst},stop={self.stop})"
+        return f"copy({TAPE_NAMES[self.src]}->{TAPE_NAMES[self.dst]},stop={self.stop})"
+
+    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+        src, dst = tapes[self.src], tapes[self.dst]
+        cells, head = src.cells, src.head
+        sym = cells[head] if head < len(cells) else src.empty
+        dst.write(sym)
+        if (sym in POSITION_MARKS if self.stop == STOP_PLUS else sym == src.empty) \
+                or head >= len(cells):
+            return StageStep(_goto(NEXT, control), self.action)
+        src.head = head + 1
+        dst.head += 1
+        return StageStep(control, self.action)
 
 
 class SeekPlus:
     __slots__ = ()
 
+    action = "micro:seek_plus"
+
     def render(self) -> str:
         return "seek_plus"
+
+    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+        synchro = tapes[SYNCHRO]
+        cells, head = synchro.cells, synchro.head
+        if head >= len(cells):
+            raise PlusNotFound(f"no '+' on the position tape (stage {control.stage})")
+        if cells[head] in POSITION_MARKS:
+            return StageStep(_goto(NEXT, control), self.action)
+        tapes[MASTER].head += 1
+        synchro.head = head + 1
+        return StageStep(control, self.action)
 
 
 class MarkPlus:
     __slots__ = ()
 
+    action = "micro:mark_plus"
+
     def render(self) -> str:
         return "mark_plus"
+
+    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+        synchro = tapes[SYNCHRO]
+        synchro.write(MARKER_PLUS if synchro.head == 0 else PLUS)
+        return StageStep(_goto(NEXT, control), self.action)
 
 
 class EnterUser:
     __slots__ = ()
 
+    action = "micro:enter_user"
+
     # The state to resume is read from the stage control.
     def render(self) -> str:
         return "enter_user"
+
+    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+        return StageStep(UserControl(control.resume), self.action)
 
 
 class EnterShutdown:
     __slots__ = ()
 
+    action = "micro:enter_shutdown"
+
     def render(self) -> str:
         return "enter_shutdown"
 
+    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+        return StageStep(ShutdownControl(), self.action)
 
-MicroOp = Rewind | ScanCompare | ScanCopy | SeekPlus | MarkPlus | EnterUser | EnterShutdown
+
+class Goto(ReadOnly):
+    """The step that enters stage `target` once a program has run out of
+    ops. It moves nothing, and its trace action repeats the op before it."""
+
+    __slots__ = ("target", "action")
+
+    def __init__(self, target: int, action: str):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "action", action)
+
+    def render(self) -> str:
+        return f"goto(stage {self.target})"
+
+    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+        return StageStep(StageControl(self.target, 0, control.resume), self.action)
+
+
+MicroOp = (Rewind | ScanCompare | ScanCopy | SeekPlus | MarkPlus | EnterUser | EnterShutdown
+           | Goto)
+
+
+def _action(op: MicroOp) -> str:
+    return sys.intern(f"micro:{op.render()}")
 
 
 class StageProgram(ReadOnly):
-    """Ordered micro-ops plus the stage entered when the program runs out.
+    """Ordered micro-ops; a program with a `done` stage ends with a Goto
+    into it, so that every micro_pc a control can hold names an op."""
 
-    `actions` holds each op's trace action, `micro:<op>`, rendered once and
-    interned, so that the records of every step of an op share one string.
-    """
-
-    __slots__ = ("ops", "done", "actions")
+    __slots__ = ("ops", "done")
 
     def __init__(self, ops: tuple[MicroOp, ...], done: int | None = None):
+        if done is not None:
+            ops += (Goto(done, ops[-1].action),)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "done", done)
-        object.__setattr__(self, "actions", tuple(sys.intern(f"micro:{op.render()}")
-                                                  for op in ops))
 
 
 class CompiledMachine(ReadOnly):
@@ -170,7 +300,8 @@ STAGE_PROGRAMS: dict[int, StageProgram] = {
         Rewind((MASTER, BACKUP)),
         ScanCompare(MASTER, BACKUP, STOP_EMPTY, on_equal=NEXT, on_diff=3),
         Rewind((MASTER, SYNCHRO, BACKUP_SYNCHRO)),
-        ScanCompare(SYNCHRO, BACKUP_SYNCHRO, STOP_PLUS, on_equal=NEXT, on_diff=3),
+        ScanCompare(SYNCHRO, BACKUP_SYNCHRO, STOP_PLUS, on_equal=NEXT, on_diff=3,
+                    commits=True),
         Rewind((MASTER, SYNCHRO)),
         SeekPlus(),
         EnterUser(),
@@ -209,32 +340,8 @@ def compile_machine(machine: ValidatedMachine) -> CompiledMachine:
     return CompiledMachine(base=machine, stage_programs=dict(STAGE_PROGRAMS))
 
 
-@dataclass(frozen=True)
-class StageStep:
-    """Outcome of one stage micro-step.
-
-    control: the follow-up program control. action: the step's trace action,
-    "commit" when the stage-4 position compare reaches its "+", otherwise
-    "micro:<op>" for the micro-op that ran.
-    """
-
-    control: StageControl | UserControl | ShutdownControl
-    action: str
-
-
-def _goto(target: int | str, control: StageControl) -> StageControl:
-    if target == NEXT:
-        return replace(control, micro_pc=control.micro_pc + 1)
-    assert isinstance(target, int)
-    return StageControl(stage=target, micro_pc=0, resume=control.resume)
-
-
-def _stop_symbols(stop: str, empty: str) -> tuple[str, ...]:
-    return (PLUS, MARKER_PLUS) if stop == STOP_PLUS else (empty,)
-
-
 def stage_step(compiled: CompiledMachine, control: StageControl,
-               tapes: dict[str, Tape]) -> StageStep:
+               tapes: tuple[Tape, ...]) -> StageStep:
     """Execute one cell-granular micro-step of the current stage program.
 
     Each call moves every head it touches by at most one cell, so one call
@@ -242,73 +349,7 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
     step on which they are observed. A branch into recovery (stage 5) keeps
     the current resume state; the executor replaces it with the committed one.
     """
-    program = compiled.stage_programs[control.stage]
-    if control.micro_pc >= len(program.ops):
-        assert program.done is not None
-        return StageStep(_goto(program.done, control), program.actions[-1])
-
-    op = program.ops[control.micro_pc]
-    action = program.actions[control.micro_pc]
-    empty = compiled.base.alphabet.empty
-
-    if isinstance(op, MarkPlus):
-        synchro = tapes[SYNCHRO]
-        synchro.write(MARKER_PLUS if synchro.head == 0 else PLUS)
-        return StageStep(_goto(NEXT, control), action)
-
-    if isinstance(op, Rewind):
-        for name in op.tapes:
-            tape = tapes[name]
-            if tape.read() not in (MARKER, MARKER_PLUS):
-                tape.move("L")
-        if all(tapes[n].read() in (MARKER, MARKER_PLUS) for n in op.tapes):
-            return StageStep(_goto(NEXT, control), action)
-        return StageStep(control, action)
-
-    if isinstance(op, ScanCompare):
-        a, b = tapes[op.tape_a], tapes[op.tape_b]
-        stop = _stop_symbols(op.stop, empty)
-        sym_a, sym_b = a.read(), b.read()
-        if sym_a != sym_b:
-            return StageStep(_goto(op.on_diff, control), action)
-        if sym_a in stop:
-            if control.stage == 4 and op.stop == STOP_PLUS:
-                action = "commit"
-            return StageStep(_goto(op.on_equal, control), action)
-        if a.head >= a.allocated and b.head >= b.allocated:
-            # Uniform filler from here on: the scan can never distinguish the
-            # tapes again, but no terminator was seen either, so no commit.
-            return StageStep(_goto(op.on_equal, control), action)
-        a.move("R")
-        b.move("R")
-        return StageStep(control, action)
-
-    if isinstance(op, ScanCopy):
-        src, dst = tapes[op.src], tapes[op.dst]
-        stop = _stop_symbols(op.stop, empty)
-        sym = src.read()
-        dst.write(sym)
-        if sym in stop or src.head >= src.allocated:
-            return StageStep(_goto(NEXT, control), action)
-        src.move("R")
-        dst.move("R")
-        return StageStep(control, action)
-
-    if isinstance(op, SeekPlus):
-        synchro, master = tapes[SYNCHRO], tapes[MASTER]
-        if synchro.read() in (PLUS, MARKER_PLUS):
-            return StageStep(_goto(NEXT, control), action)
-        if synchro.head >= synchro.allocated:
-            raise PlusNotFound(f"no '+' on the position tape (stage {control.stage})")
-        master.move("R")
-        synchro.move("R")
-        return StageStep(control, action)
-
-    if isinstance(op, EnterUser):
-        return StageStep(UserControl(control.resume), action)
-
-    assert isinstance(op, EnterShutdown)
-    return StageStep(ShutdownControl(), action)
+    return compiled.stage_programs[control.stage].ops[control.micro_pc].step(control, tapes)
 
 
 def _rule_rows(machine: ValidatedMachine) -> list[str]:
@@ -337,16 +378,9 @@ def emit_pi(compiled: CompiledMachine) -> str:
     rows = [header]
     rows.extend(_rule_rows(compiled.base))
     for stage in sorted(compiled.stage_programs):
-        program = compiled.stage_programs[stage]
-        for pc, op in enumerate(program.ops):
+        for pc, op in enumerate(compiled.stage_programs[stage].ops):
             rows.append("\t".join((
                 str(stage), "micro", "passive", "normal", "tracking",
                 f"stage:{stage}/{pc}", "-", op.render(), "-", "-",
-            )))
-        if program.done is not None:
-            rows.append("\t".join((
-                str(stage), "micro", "passive", "normal", "tracking",
-                f"stage:{stage}/{len(program.ops)}", "-", f"goto(stage {program.done})",
-                "-", "-",
             )))
     return "\n".join(rows) + "\n"

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .model import COUNT_PATTERN, read_count
-from .stages import TAPE_ORDER
 
 # A record line holds these fields in this order, tab-separated; `masked=1`
 # and `digests=` are present only when set.
@@ -169,11 +168,11 @@ def tape_digest(cells: list[str]) -> str:
 
 
 def digest_tapes(tapes) -> tuple[str, str, str, str, str]:
-    """The five tape digests in TAPE_ORDER, rehashing only tapes written
-    since their digest was last taken (`Tape.write` clears the cache)."""
+    """The digests of a configuration's five tapes, in its tape order,
+    rehashing only tapes written since their digest was last taken
+    (`Tape.write` clears the cache)."""
     digests = []
-    for name in TAPE_ORDER:
-        tape = tapes[name]
+    for tape in tapes:
         digest = tape.digest
         if digest is None:
             digest = tape.digest = tape_digest(tape.cells)

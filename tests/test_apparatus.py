@@ -39,15 +39,7 @@ from tmfsim.model import (
     UserControl,
     validate_machine,
 )
-from tmfsim.stages import (
-    BACKUP,
-    BACKUP_SYNCHRO,
-    MASTER,
-    SYNCHRO,
-    USER,
-    compile_machine,
-    stage_step,
-)
+from tmfsim.stages import MASTER, SYNCHRO, compile_machine, stage_step
 
 L = 2
 EMPTY = "b"
@@ -92,13 +84,11 @@ def restore_case(committed, head, stale, failed, erased) -> tuple[int | None, bo
     """(commits on the way to the user computation, whether the restore
     rebuilt the committed master) for one case."""
     stale_cells, stale_plus = stale
-    tapes = {
-        MASTER: Tape(EMPTY, committed, head),
-        USER: Tape(EMPTY),
-        SYNCHRO: position_tape(head, head),
-        BACKUP: Tape(EMPTY, stale_cells, 0),
-        BACKUP_SYNCHRO: position_tape(stale_plus, 0),
-    }
+    tapes = [Tape(EMPTY, committed, head),           # MASTER
+             position_tape(head, head),              # SYNCHRO
+             Tape(EMPTY, stale_cells, 0),            # BACKUP
+             position_tape(stale_plus, 0),           # BACKUP_SYNCHRO
+             Tape(EMPTY)]                            # USER
     commits = drive(3, tapes)
     tapes[MASTER] = Tape(EMPTY, failed, head)
     if erased:

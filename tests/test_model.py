@@ -13,7 +13,6 @@ from tmfsim.model import (
     ValidationIssue,
     validate_machine,
 )
-from tmfsim.stages import TAPE_ORDER
 from tmfsim.trace import digest_tapes, tape_digest
 
 from conftest import tapes_equal_to_terminator
@@ -171,7 +170,7 @@ class TestTape:
 
     def test_write_clears_the_cached_digest(self):
         tape = Tape("b", ("1", "0"), head=1)
-        tapes = dict.fromkeys(TAPE_ORDER, tape)
+        tapes = (tape,) * 5
         tape.write("0")
         first = digest_tapes(tapes)[0]
         assert first == tape_digest(tape.cells)

@@ -31,6 +31,7 @@ from tmfsim.stages import (
     STAGE_PROGRAMS,
     SeekPlus,
     SYNCHRO,
+    TAPE_NAMES,
     USER,
     compile_machine,
     emit_pi,
@@ -49,14 +50,10 @@ def small_machine(checkpoints=(), gamma=()):
         delta=tuple(delta), gamma=tuple(gamma)))
 
 
-def tape_set(empty="b", master=(), user=(), synchro=(), backup=(), backup_synchro=()):
-    return {
-        MASTER: Tape(empty, master),
-        USER: Tape(empty, user),
-        SYNCHRO: Tape(empty, synchro),
-        BACKUP: Tape(empty, backup),
-        BACKUP_SYNCHRO: Tape(empty, backup_synchro),
-    }
+def tape_set(empty="b", master=(), synchro=(), backup=(), backup_synchro=(), user=()):
+    """A configuration's five tapes, in the order MASTER to USER."""
+    return tuple(Tape(empty, content) for content in (master, synchro, backup,
+                                                      backup_synchro, user))
 
 
 def drive(compiled, stage, tapes, resume="q0", limit=10_000):
@@ -215,7 +212,7 @@ class TestStageStep:
                          backup=("1", "1"), backup_synchro=("+",))
         result, _ = drive(compiled, 3, tapes)
         assert result.control == StageControl(4, 0, "q0")
-        cells = tapes["backup_synchro"].cells
+        cells = tapes[BACKUP_SYNCHRO].cells
         assert cells[:4] == ["!", "b", "b", "+"]
         assert cells.count("+") == 1
 
@@ -255,7 +252,7 @@ class TestAllocationExits:
         compiled = compile_machine(small_machine())
         op = compiled.stage_programs[stage].ops[3]
         assert op.render() == ScanCopy(src, dst, "plus").render()
-        tapes = tape_set(**{src: ("b", "b"), dst: ("1", "1", "1", "+")})
+        tapes = tape_set(**{TAPE_NAMES[src]: ("b", "b"), TAPE_NAMES[dst]: ("1", "1", "1", "+")})
         tapes[src].head = tapes[dst].head = 0
         control, actions = self.run_op(compiled, StageControl(stage, 3, "q0"), tapes)
         assert control == StageControl(stage, 4, "q0")   # NEXT: the stage's end
@@ -343,7 +340,7 @@ def test_only_the_classes_a_step_builds_are_dataclasses():
     dataclass_names = {obj.__qualname__ for module in modules for obj in vars(module).values()
                        if isinstance(obj, type) and obj.__module__.startswith("tmfsim")
                        and dataclasses.is_dataclass(obj)}
-    assert dataclass_names == {"StageControl", "UserControl", "StageStep", "TraceRecord"}
+    assert dataclass_names == {"StageControl", "UserControl", "TraceRecord"}
 
 
 def shared_objects():

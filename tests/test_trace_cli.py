@@ -12,7 +12,7 @@ from tmfsim.cli import main
 from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, run, step
 from tmfsim.model import JamError, ShutdownControl
-from tmfsim.stages import TAPE_ORDER
+from tmfsim.stages import Goto
 from tmfsim.trace import (
     TraceRecord,
     digest_tapes,
@@ -121,12 +121,12 @@ class TestTraceFormat:
         previous = None
         shared = renewed = 0
         while not isinstance(cfg.control, ShutdownControl):
-            cells = [list(cfg.tapes[name].cells) for name in TAPE_ORDER]
+            cells = [list(tape.cells) for tape in cfg.tapes]
             records = step(cfg, with_digests=True)
             digests = records[0].digests
             assert all(record.digests is digests for record in records)
             if previous is not None:
-                unchanged = cells == [cfg.tapes[name].cells for name in TAPE_ORDER]
+                unchanged = cells == [tape.cells for tape in cfg.tapes]
                 assert (digests is previous) == unchanged
                 shared += unchanged
                 renewed += not unchanged
@@ -148,9 +148,17 @@ class TestTraceFormat:
                 assert first.setdefault(text, text) is text
 
     def test_program_actions_are_the_rendered_ops(self, compiled_corpus):
+        """Each op's action is `micro:<op>`, except the closing `goto(stage
+        N)` of stages 3 and 5, which repeats the action of the op before it."""
         for compiled, _ in compiled_corpus.values():
             for program in compiled.stage_programs.values():
-                assert program.actions == tuple(f"micro:{op.render()}" for op in program.ops)
+                ops = program.ops
+                for pc, op in enumerate(ops):
+                    if isinstance(op, Goto):
+                        assert pc == len(ops) - 1 and op.target == program.done
+                        assert op.action is ops[pc - 1].action
+                    else:
+                        assert op.action == f"micro:{op.render()}"
 
     def test_parsed_records_share_equal_values(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
@@ -225,7 +233,7 @@ class TestTraceFormat:
                     records = step(cfg, with_digests=True)
                 except JamError:
                     break
-                fresh = tuple(tape_digest(cfg.tapes[n].cells) for n in TAPE_ORDER)
+                fresh = tuple(tape_digest(tape.cells) for tape in cfg.tapes)
                 assert records[-1].digests == fresh
                 assert digest_tapes(cfg.tapes) == fresh
 
