@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from contextlib import contextmanager, suppress
 
@@ -85,7 +86,14 @@ def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Exits with EXIT_ERROR on a usage error: argparse's own code, 2, is
-    EXIT_STEP_LIMIT here."""
+    EXIT_STEP_LIMIT here. Reads any `-<digit>...` token as a value, where
+    argparse reads only `-<digits>` and decimals, so that a count flag given
+    one as its own argument (`--seed -1_0`) reaches `_count` and is refused
+    as negative rather than as a missing value. No flag starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

@@ -3,7 +3,8 @@ import pathlib
 import pytest
 
 from tmfsim import compile_machine, load_machine
-from tmfsim.model import Tape
+from tmfsim.model import MARKER, MARKER_PLUS, Tape
+from tmfsim.stages import BACKUP_SYNCHRO, SYNCHRO, TAPE_NAMES
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -45,6 +46,28 @@ def tapes_equal_to_terminator(a: Tape, b: Tape, stop: str) -> bool:
         if i >= len(a.cells) and i >= len(b.cells):
             return True
         i += 1
+
+
+def broken_marker(tapes) -> str | None:
+    """The marker invariant: cell 0 of the two position tapes holds `!` or
+    `!+`, and cell 0 of the master, backup and user tapes holds `!`. Names
+    the first tape that breaks it, or returns None."""
+    for index, tape in enumerate(tapes):
+        cell = tape.cells[0]
+        if cell != MARKER and not (cell == MARKER_PLUS and index in (SYNCHRO, BACKUP_SYNCHRO)):
+            return f"cell 0 of the {TAPE_NAMES[index]} tape holds {cell!r}"
+    return None
+
+
+def marker_monitor(broken: list):
+    """A run monitor that appends to `broken` the first step whose tapes
+    break the marker invariant, with what `broken_marker` says of it."""
+    def monitor(records, cfg):
+        if not broken:
+            found = broken_marker(cfg.tapes)
+            if found:
+                broken.append((cfg.step_index, found))
+    return monitor
 
 
 def step_events(records) -> list[str]:

@@ -424,7 +424,8 @@ class TestCliRun:
         assert "--seed: non-canonical integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--seed=-10"], ["--seed", "-10"], ["--seed=-01"],
-                                       ["--seed=-1_0"], ["--seed=--10"]], ids=" ".join)
+                                       ["--seed", "-01"], ["--seed=-1_0"], ["--seed", "-1_0"],
+                                       ["--seed=--10"]], ids=" ".join)
     def test_negative_seed_is_a_usage_error(self, capsys, flags):
         """The generator seeds -10 as 10, so a negative seed would replay the
         stream of its absolute value."""
@@ -542,6 +543,18 @@ class TestCliRun:
             main([subcommand, "-m", corpus_meta("unary"), "--max-steps", "-5"])
         assert exc.value.code == 1
         assert "--max-steps: must not be negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--max-steps", "-1_0"], ["--max-steps=-1_0"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("subcommand", ["run", "oracle"])
+    def test_negative_max_steps_argparse_reads_as_a_flag_is_named(self, capsys, subcommand,
+                                                                 flags):
+        """argparse alone takes `-1_0` for a flag and says `expected one
+        argument`; in either form the value is refused as negative."""
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "-m", corpus_meta("unary"), *flags])
+        assert exc.value.code == 1
+        assert "argument --max-steps: must not be negative: -1_0\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["run", "oracle"])
     @pytest.mark.parametrize("flag, value", [("--max-steps", "1_000"), ("--row", "+0")])
