@@ -278,8 +278,8 @@ class Tape:
     """Semi-infinite tape: cell 0 holds "!", cells grow rightward on demand.
 
     Reading past the allocated region yields the empty symbol without
-    allocating; writing allocates. `allocated` exposes the written extent so
-    scans over uniformly-filled tapes can detect exhaustion.
+    allocating; writing allocates. `len(cells)` is the written extent, where
+    scans over uniformly-filled tapes detect exhaustion.
 
     Cells change only through `write()`: `digest` caches the trace digest of
     `cells` (filled by `trace.digest_tapes`), and `write()` clears it. Code
@@ -293,10 +293,6 @@ class Tape:
         self.cells: list[str] = [MARKER, *content]
         self.head = head
         self.digest: str | None = None
-
-    @property
-    def allocated(self) -> int:
-        return len(self.cells)
 
     def read(self) -> str:
         if self.head < len(self.cells):

@@ -219,7 +219,7 @@ class TestStageStep:
 
 class TestAllocationExits:
     """A position tape without "+" ends a stop-plus scan only at the written
-    extent of the tapes (`Tape.allocated`), a state no tape symbol shows."""
+    extent of the tapes (`len(Tape.cells)`), a state no tape symbol shows."""
 
     @staticmethod
     def run_op(compiled, control, tapes, limit=100):
@@ -244,7 +244,7 @@ class TestAllocationExits:
         assert control == StageControl(stage, 4, "q0")   # on_equal: the next op
         assert actions == [f"micro:{op.render()}"] * 6
         assert tapes[SYNCHRO].head == tapes[BACKUP_SYNCHRO].head == 5
-        assert tapes[BACKUP_SYNCHRO].head == tapes[BACKUP_SYNCHRO].allocated
+        assert tapes[BACKUP_SYNCHRO].head == len(tapes[BACKUP_SYNCHRO].cells)
 
     @pytest.mark.parametrize("stage, src, dst", [(3, SYNCHRO, BACKUP_SYNCHRO),
                                                  (5, BACKUP_SYNCHRO, SYNCHRO)])
@@ -257,7 +257,7 @@ class TestAllocationExits:
         control, actions = self.run_op(compiled, StageControl(stage, 3, "q0"), tapes)
         assert control == StageControl(stage, 4, "q0")   # NEXT: the stage's end
         assert actions == [f"micro:{op.render()}"] * 4
-        assert tapes[src].head == tapes[src].allocated == 3
+        assert tapes[src].head == len(tapes[src].cells) == 3
         assert tapes[dst].cells == ["!", "b", "b", "b", "+"]
 
 
