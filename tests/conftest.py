@@ -1,10 +1,18 @@
 import pathlib
+from collections import Counter
 
 import pytest
 
 from tmfsim import compile_machine, load_machine
-from tmfsim.model import MARKER, MARKER_PLUS, Tape
-from tmfsim.stages import BACKUP_SYNCHRO, SYNCHRO, TAPE_NAMES
+from tmfsim.model import MARKER, MARKER_PLUS, PLUS, Tape
+from tmfsim.stages import (
+    BACKUP,
+    BACKUP_SYNCHRO,
+    MASTER,
+    POSITION_MARKS,
+    SYNCHRO,
+    TAPE_NAMES,
+)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -30,18 +38,20 @@ def write_definition(directory, alphabet="empty b\ninput 1\n", rules="q0 b -> qf
 
 
 def tapes_equal_to_terminator(a: Tape, b: Tape, stop: str) -> bool:
-    """Cell-wise equality from cell 0 up to the first shared `stop` symbol.
+    """Cell-wise equality from cell 0 up to the first shared `stop` symbol,
+    the empty symbol or `+`; a `+` scan also stops on `!+`.
 
     Mirrors the scan comparison the stage machinery performs: content beyond
     the terminator is invisible.
     """
+    stops = POSITION_MARKS if stop == PLUS else (stop,)
     i = 0
     while True:
         sa = a.cells[i] if i < len(a.cells) else a.empty
         sb = b.cells[i] if i < len(b.cells) else b.empty
         if sa != sb:
             return False
-        if sa == stop:
+        if sa in stops:
             return True
         if i >= len(a.cells) and i >= len(b.cells):
             return True
@@ -85,6 +95,36 @@ def step_events(records) -> list[str]:
         elif record.action == "micro:enter_user":
             events.append(f"verified-{record.stage}")
     return events
+
+
+class InvariantMonitor:
+    """Checks the checkpoint protocol at every notable event of a run, as
+    named by the actions of each step's trace records."""
+
+    def __init__(self, compiled):
+        self.empty = compiled.base.alphabet.empty
+        self.counts = Counter()
+
+    def __call__(self, records, cfg):
+        for event in step_events(records):
+            self.check(event, cfg)
+
+    def check(self, event, cfg):
+        self.counts[event] += 1
+        synchro = cfg.tapes[SYNCHRO]
+        marks = sum(cell in POSITION_MARKS for cell in synchro.cells)
+        if event == "stage2-entry":
+            assert marks == 0, "stale position mark at check entry"
+        elif event == "stage2-marked":
+            assert marks == 1, "mark count after marking"
+        elif event in ("commit", "verified-4", "verified-6"):
+            master, backup = cfg.tapes[MASTER], cfg.tapes[BACKUP]
+            backup_synchro = cfg.tapes[BACKUP_SYNCHRO]
+            assert tapes_equal_to_terminator(master, backup, self.empty)
+            assert tapes_equal_to_terminator(synchro, backup_synchro, PLUS)
+            if event != "commit":
+                assert synchro.read() in POSITION_MARKS, "master head not on the position mark"
+                assert master.head == synchro.head
 
 
 @pytest.fixture(scope="session")

@@ -17,11 +17,9 @@ from collections import Counter
 
 from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, run, run_basic_oracle
-from tmfsim.model import PLUS
-from tmfsim.stages import BACKUP, BACKUP_SYNCHRO, MASTER, SYNCHRO
 from tmfsim.trace import render_trace
 
-from conftest import step_events, tapes_equal_to_terminator
+from conftest import InvariantMonitor
 
 ORACLE_MACHINES = ("unary", "succ", "palin")
 SWEEP_MACHINES = ("unary", "succ")
@@ -33,35 +31,6 @@ WORDS = {
     "palin": [(), ("0",), ("0", "1", "0"), ("0", "1"),
               ("1", "0", "0", "1"), ("1", "0", "1", "1")],
 }
-
-
-class InvariantMonitor:
-    """Checks the checkpoint protocol at every notable event of a run, as
-    named by the actions of each step's trace records."""
-
-    def __init__(self, compiled):
-        self.empty = compiled.base.alphabet.empty
-        self.counts = Counter()
-
-    def __call__(self, records, cfg):
-        for event in step_events(records):
-            self.check(event, cfg)
-
-    def check(self, event, cfg):
-        self.counts[event] += 1
-        synchro = cfg.tapes[SYNCHRO]
-        if event == "stage2-entry":
-            assert synchro.cells.count(PLUS) == 0, "stale position mark at check entry"
-        elif event == "stage2-marked":
-            assert synchro.cells.count(PLUS) == 1, "mark count after marking"
-        elif event in ("commit", "verified-4", "verified-6"):
-            master, backup = cfg.tapes[MASTER], cfg.tapes[BACKUP]
-            backup_synchro = cfg.tapes[BACKUP_SYNCHRO]
-            assert tapes_equal_to_terminator(master, backup, self.empty)
-            assert tapes_equal_to_terminator(synchro, backup_synchro, PLUS)
-            if event != "commit":
-                assert synchro.read() == PLUS, "master head not on the position mark"
-                assert master.head == synchro.head
 
 
 def checked_run(compiled, word, policy, max_steps=200_000):

@@ -23,7 +23,7 @@ from tmfsim.executor import OracleStepLimit, init_configuration, run, run_basic_
 from tmfsim.model import MARKER, Alphabet, BasicMachine, Rule, validate_machine
 from tmfsim.stages import compile_machine
 
-from conftest import marker_monitor
+from conftest import InvariantMonitor, marker_monitor
 
 MACHINES = 100
 STATES = ("q0", "q1", "q2")
@@ -91,6 +91,15 @@ def test_no_fault_free_run_breaks_a_marker(fault_free_runs):
     """The marker invariant holds after every step of every run, also of
     runs that put a checkpoint or a user step at cell 0 of the master."""
     assert [broken for *_, broken in fault_free_runs if broken] == []
+
+
+def test_checkpoint_protocol_holds_on_every_fault_free_run(machines):
+    """`conftest.InvariantMonitor` at every checkpoint event, also of the
+    checkpoints that mark cell 0 with `!+`."""
+    for machine, word, _ in machines:
+        compiled = compile_machine(machine)
+        run(init_configuration(compiled, word), max_steps=MAX_STEPS,
+            monitor=InvariantMonitor(compiled))
 
 
 @pytest.fixture(scope="module")
