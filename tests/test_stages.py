@@ -246,8 +246,9 @@ class TestAllocationExits:
         assert tapes[SYNCHRO].head == tapes[BACKUP_SYNCHRO].head == 5
         assert tapes[BACKUP_SYNCHRO].head == len(tapes[BACKUP_SYNCHRO].cells)
 
-    @pytest.mark.parametrize("stage, src, dst", [(3, SYNCHRO, BACKUP_SYNCHRO),
-                                                 (5, BACKUP_SYNCHRO, SYNCHRO)])
+    @pytest.mark.parametrize("stage, src, dst", [
+        pytest.param(3, SYNCHRO, BACKUP_SYNCHRO, id="3-synchro-backup_synchro"),
+        pytest.param(5, BACKUP_SYNCHRO, SYNCHRO, id="5-backup_synchro-synchro")])
     def test_plus_copy_without_plus_stops_at_the_source_extent(self, stage, src, dst):
         compiled = compile_machine(small_machine())
         op = compiled.stage_programs[stage].ops[3]
