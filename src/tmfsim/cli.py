@@ -145,8 +145,8 @@ def _flag_conflict(args: argparse.Namespace) -> str | None:
             ("--allow-failure-in-critical",
              args.allow_failure_in_critical and args.sweep_fault_step)) if given]
         if ignored:
-            sweep = "--sweep-fault-step" if args.sweep_fault_step else "--sweep-failure-step"
-            return f"{sweep} does not take {', '.join(ignored)}"
+            sweep_flag = "--sweep-fault-step" if args.sweep_fault_step else "--sweep-failure-step"
+            return f"{sweep_flag} does not take {', '.join(ignored)}"
     elif args.trace == "off" and (args.trace_out is not None or args.digests):
         return "--trace-out and --digests need --trace summary or full"
     ignored = [flag for flag, given, reader in (
@@ -231,34 +231,46 @@ def _single_shot(compiled, word, args, out) -> int:
     return _OUTCOME_EXIT[result.outcome]
 
 
+def sweep(compiled, word, choice: str, max_steps: int = DEFAULT_MAX_STEPS,
+          allow_failure_in_critical: bool = False, monitor=None):
+    """The single-event sweep: the fault-free baseline's `RunResult`, and a
+    lazy iterator that runs `ScriptPolicy({k: choice})` from step 0 for each
+    baseline step k in order and yields `(k, RunResult, records, final
+    Configuration)`. `monitor` watches every run, the baseline's too."""
+    # Reads `run` and `init_configuration` from this module: bench/run.py patches `tmfsim.cli.run`.
+    baseline_cfg = init_configuration(compiled, word, ScriptPolicy({}), allow_failure_in_critical)
+    baseline, _ = run(baseline_cfg, max_steps=max_steps, monitor=monitor)
+
+    def runs():
+        for k in range(baseline.steps_used):
+            cfg = init_configuration(compiled, word, ScriptPolicy({k: choice}),
+                                     allow_failure_in_critical)
+            result, records = run(cfg, max_steps=max_steps, monitor=monitor)
+            yield k, result, records, cfg
+
+    return baseline, runs()
+
+
 def _sweep(compiled, word, args, choice: str, out) -> int:
-    allow = args.allow_failure_in_critical
-    baseline_cfg = init_configuration(compiled, word, ScriptPolicy({}), allow)
-    baseline, _ = run(baseline_cfg, max_steps=args.max_steps)
+    baseline, runs = sweep(compiled, word, choice, args.max_steps,
+                           args.allow_failure_in_critical)
     if baseline.outcome != "shutdown":
         print(f"baseline run did not shut down: {baseline.outcome}", file=sys.stderr)
         return _OUTCOME_EXIT[baseline.outcome]
-    length = baseline.steps_used
     ok = 0
-    any_jam = any_limit = any_mismatch = False
-    for k in range(length):
-        cfg = init_configuration(compiled, word, ScriptPolicy({k: choice}), allow)
-        result, _ = run(cfg, max_steps=args.max_steps)
-        match = result.final_master_word == baseline.final_master_word
-        if result.outcome == "shutdown" and match:
+    code = EXIT_OK
+    for k, result, _, _ in runs:
+        if result.outcome == "shutdown" and result.final_master_word == baseline.final_master_word:
             ok += 1
             continue
-        any_jam = any_jam or result.outcome == "jammed"
-        any_limit = any_limit or result.outcome == "step-limit"
-        any_mismatch = any_mismatch or not match
+        # The gravest miss sets the exit code: a jam (3), the step limit (2),
+        # a shutdown with another word (1).
+        code = max(code, _OUTCOME_EXIT[result.outcome] or EXIT_ERROR)
         print(f"k={k} outcome={result.outcome} word={' '.join(result.final_master_word)} "
               f"recoveries={result.recoveries}", file=out)
-    print(f"sweep({choice}): {ok}/{length} runs shut down with the baseline word", file=out)
-    if any_jam:
-        return EXIT_JAMMED
-    if any_limit:
-        return EXIT_STEP_LIMIT
-    return EXIT_ERROR if any_mismatch else EXIT_OK
+    print(f"sweep({choice}): {ok}/{baseline.steps_used} runs shut down with the baseline word",
+          file=out)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -336,9 +336,10 @@ def run(cfg: Configuration, max_steps: int = DEFAULT_MAX_STEPS, monitor=None,
     return result, records
 
 
-def run_basic_oracle(machine: ValidatedMachine, word: tuple[str, ...],
-                     max_steps: int = DEFAULT_MAX_STEPS) -> tuple[str, ...]:
-    """Reference run of the plain single-tape machine, no stages, no daemon.
+def oracle_tape(machine: ValidatedMachine, word: tuple[str, ...],
+                max_steps: int = DEFAULT_MAX_STEPS) -> tuple[str, ...]:
+    """Reference run of the plain single-tape machine, no stages, no daemon:
+    the halting tape from cell 0, trimmed of trailing empty cells.
 
     Deliberately independent of the five-tape executor: a bare list, a head
     index and the rule map. Used as the oracle the full simulator is checked
@@ -367,9 +368,12 @@ def run_basic_oracle(machine: ValidatedMachine, word: tuple[str, ...],
             head -= 1
         state = rule.to_state
         steps += 1
-    out = []
-    for sym in cells[1:]:
-        if sym == empty:
-            break
-        out.append(sym)
-    return tuple(out)
+    while cells[-1] == empty:
+        cells.pop()
+    return tuple(cells)
+
+
+def run_basic_oracle(machine: ValidatedMachine, word: tuple[str, ...],
+                     max_steps: int = DEFAULT_MAX_STEPS) -> tuple[str, ...]:
+    """The word on `oracle_tape`: its cells from 1 up to the first empty one."""
+    return Tape(machine.alphabet.empty, oracle_tape(machine, word, max_steps)[1:]).word()

@@ -58,6 +58,20 @@ def tapes_equal_to_terminator(a: Tape, b: Tape, stop: str) -> bool:
         i += 1
 
 
+def trimmed(cells, empty: str) -> tuple[str, ...]:
+    """`cells` without their trailing `empty` cells."""
+    cells = tuple(cells)
+    while cells and cells[-1] == empty:
+        cells = cells[:-1]
+    return cells
+
+
+def master_tape(cfg) -> tuple[str, ...]:
+    """The master tape from cell 0, trimmed as `executor.oracle_tape` trims
+    the oracle's."""
+    return trimmed(cfg.tapes[MASTER].cells, cfg.tapes[MASTER].empty)
+
+
 def broken_marker(tapes) -> str | None:
     """The marker invariant: cell 0 of the two position tapes holds `!` or
     `!+`, and cell 0 of the master, backup and user tapes holds `!`. Names

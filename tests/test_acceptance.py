@@ -15,11 +15,12 @@ part in the fault-free equivalence and invariant checks.
 import time
 from collections import Counter
 
+from tmfsim.cli import sweep
 from tmfsim.daemon import RandomPolicy, ScriptPolicy
-from tmfsim.executor import init_configuration, run, run_basic_oracle
+from tmfsim.executor import init_configuration, oracle_tape, run, run_basic_oracle
 from tmfsim.trace import render_trace
 
-from conftest import InvariantMonitor
+from conftest import InvariantMonitor, master_tape
 
 ORACLE_MACHINES = ("unary", "succ", "palin")
 SWEEP_MACHINES = ("unary", "succ")
@@ -63,29 +64,38 @@ def test_criterion_1_fault_free_oracle_equivalence(compiled_corpus):
           f"machines match the reference interpreter exactly ({elapsed:.2f}s)")
 
 
+def checked_sweep(compiled, word, choice):
+    """Sweep `choice` over the fault-free run of `word` and return the
+    baseline. `InvariantMonitor` watches every run, the baseline's too; each
+    run must shut down on the oracle's tape, and recover if its event struck.
+    (Both sweep machines write a visibly different symbol on a fault, and
+    never rewrite that cell before the next comparison, so every injected
+    fault must trigger recovery.)"""
+    expected = oracle_tape(compiled.base, word)
+    baseline, runs = sweep(compiled, word, choice, max_steps=200_000,
+                           monitor=InvariantMonitor(compiled))
+    assert baseline.outcome == "shutdown"
+    for k, result, _, cfg in runs:
+        assert result.outcome == "shutdown", k
+        assert master_tape(cfg) == expected, k
+        if result.faults_injected or result.failures_injected:
+            assert result.recoveries >= 1, k
+    return baseline
+
+
 def test_criterion_2_single_fault_sweep(compiled_corpus):
     started = time.monotonic()
     total = 0
     for name in SWEEP_MACHINES:
         compiled, word = compiled_corpus[name]
         assert compiled.base.gamma and any(r.checkpoint for r in compiled.base.delta)
-        expected = run_basic_oracle(compiled.base, word)
-        baseline, _ = fault_free_trace(compiled, word)
+        baseline = checked_sweep(compiled, word, "active")
         assert baseline.steps_used <= 500
-        for k in range(baseline.steps_used):
-            result, _, _ = checked_run(compiled, word, ScriptPolicy({k: "active"}))
-            assert result.outcome == "shutdown", (name, k)
-            assert result.final_master_word == expected, (name, k)
-            if result.faults_injected:
-                # Both sweep machines write a visibly different symbol on a
-                # fault, and never rewrite that cell before the next
-                # comparison, so every injected fault must trigger recovery.
-                assert result.recoveries >= 1, (name, k)
-            total += 1
+        total += baseline.steps_used
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"budget exceeded: {elapsed:.2f}s"
     print(f"[PASS] criterion 2: {total} single-fault runs all shut down with the "
-          f"oracle word ({elapsed:.2f}s)")
+          f"oracle tape ({elapsed:.2f}s)")
 
 
 def test_criterion_3_single_failure_sweep(compiled_corpus):
@@ -93,19 +103,11 @@ def test_criterion_3_single_failure_sweep(compiled_corpus):
     total = 0
     for name in SWEEP_MACHINES:
         compiled, word = compiled_corpus[name]
-        expected = run_basic_oracle(compiled.base, word)
-        baseline, _ = fault_free_trace(compiled, word)
-        for k in range(baseline.steps_used):
-            result, _, _ = checked_run(compiled, word, ScriptPolicy({k: "aggressive"}))
-            assert result.outcome == "shutdown", (name, k)
-            assert result.final_master_word == expected, (name, k)
-            if result.failures_injected:
-                assert result.recoveries >= 1, (name, k)
-            total += 1
+        total += checked_sweep(compiled, word, "aggressive").steps_used
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"budget exceeded: {elapsed:.2f}s"
     print(f"[PASS] criterion 3: {total} single-failure runs under default masking all "
-          f"shut down with the oracle word ({elapsed:.2f}s)")
+          f"shut down with the oracle tape ({elapsed:.2f}s)")
 
 
 def test_criterion_4_replay_determinism(compiled_corpus):

@@ -41,6 +41,8 @@ from tmfsim.model import (
 )
 from tmfsim.stages import MASTER, SYNCHRO, compile_machine, stage_step
 
+from conftest import trimmed
+
 L = 2
 EMPTY = "b"
 CONTENTS = [cells for n in range(L + 1)
@@ -73,13 +75,6 @@ def drive(stage: int, tapes) -> int | None:
     return None
 
 
-def trimmed(cells) -> tuple[str, ...]:
-    cells = tuple(cells)
-    while cells and cells[-1] == EMPTY:
-        cells = cells[:-1]
-    return cells
-
-
 def restore_case(committed, head, stale, failed, erased) -> tuple[int | None, bool]:
     """(commits on the way to the user computation, whether the restore
     rebuilt the committed master) for one case."""
@@ -95,7 +90,7 @@ def restore_case(committed, head, stale, failed, erased) -> tuple[int | None, bo
         tapes[SYNCHRO].head = head
         tapes[SYNCHRO].write(EMPTY)
     restored = (drive(5, tapes) is not None
-                and trimmed(tapes[MASTER].cells[1:]) == trimmed(committed)
+                and trimmed(tapes[MASTER].cells[1:], EMPTY) == trimmed(committed, EMPTY)
                 and tapes[MASTER].head == head)
     return commits, restored
 
@@ -111,7 +106,7 @@ def cases():
 def item_15_class(committed, failed) -> bool:
     """The committed content has an interior blank, or the master at failure
     holds a non-blank cell two or more cells past the committed content."""
-    content = trimmed(committed)
+    content = trimmed(committed, EMPTY)
     return EMPTY in content or any(symbol != EMPTY for symbol in failed[len(content) + 1:])
 
 

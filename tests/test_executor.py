@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmfsim.cli import sweep
 from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import (
     OracleStepLimit,
@@ -264,14 +265,9 @@ class TestRun:
         compiled = early_halting_unary()
         word = ("1", "1")
         oracle = run_basic_oracle(compiled.base, word)
-        baseline, _ = run(init_configuration(compiled, word))
-        wrong = []
-        for k in range(baseline.steps_used):
-            cfg = init_configuration(compiled, word, ScriptPolicy({k: "active"}))
-            result, _ = run(cfg, max_steps=5_000)
-            if result.outcome == "shutdown" and result.final_master_word != oracle:
-                wrong.append((k, result.final_master_word))
-        assert wrong == []
+        _, runs = sweep(compiled, word, "active", max_steps=5_000)
+        assert [(k, result.final_master_word) for k, result, *_ in runs
+                if result.outcome == "shutdown" and result.final_master_word != oracle] == []
 
     def test_a_poisoned_halting_checkpoint_live_locks_through_the_summary_check(self):
         """README "Undetectable faults": "If a checkpoint in the halting state

@@ -10,27 +10,36 @@ no corpus file, and find what the hand-written corpus never reaches: a
 checkpoint or a user step at cell 0 of the master tape (ROADMAP item 16).
 
 Every fault-free run is checked against the marker invariant after every
-step (`conftest.marker_monitor`). The first SWEPT machines are also swept
-with a single failure at each step of their fault-free run, 1,170 runs.
+step (`conftest.marker_monitor`). The SWEPT machines are also swept
+with a single failure at each step of their fault-free run, 1,314 runs, and
+the final master tape of each is compared with the oracle's (ROADMAP item 20).
 """
 
 import random
 
 import pytest
 
-from tmfsim.daemon import ScriptPolicy
-from tmfsim.executor import OracleStepLimit, init_configuration, run, run_basic_oracle
+from tmfsim.cli import sweep
+from tmfsim.executor import (
+    OracleStepLimit,
+    init_configuration,
+    oracle_tape,
+    run,
+    run_basic_oracle,
+)
 from tmfsim.model import MARKER, Alphabet, BasicMachine, Rule, validate_machine
 from tmfsim.stages import compile_machine
 
-from conftest import InvariantMonitor, marker_monitor
+from conftest import InvariantMonitor, marker_monitor, master_tape
 
 MACHINES = 100
 STATES = ("q0", "q1", "q2")
 SYMBOLS = ("b", "0", "1")
 ORACLE_STEPS = 40
 MAX_STEPS = 20_000
-SWEPT = 20                 # machines whose failure sweep runs here
+# Machines whose failure sweep runs here: the first 20, and two whose
+# sweeps end on a wrong tape with the oracle word (ROADMAP item 20).
+SWEPT = (*range(20), 21, 68)
 SWEEP_MAX_STEPS = 5_000
 
 
@@ -104,21 +113,21 @@ def test_checkpoint_protocol_holds_on_every_fault_free_run(machines):
 
 @pytest.fixture(scope="module")
 def failure_sweeps(machines):
-    """(machine number, k, result, oracle word) for a single failure at each
-    step k of the fault-free run of each of the first SWEPT machines."""
+    """(machine number, k, result, oracle word, whether the final master
+    tape is the oracle's) for a single failure at each step k of the
+    fault-free run of each SWEPT machine."""
     runs = []
-    for number, (machine, word, oracle) in enumerate(machines[:SWEPT]):
-        compiled = compile_machine(machine)
-        baseline, _ = run(init_configuration(compiled, word), max_steps=SWEEP_MAX_STEPS)
-        for k in range(baseline.steps_used):
-            cfg = init_configuration(compiled, word, ScriptPolicy({k: "aggressive"}))
-            result, _ = run(cfg, max_steps=SWEEP_MAX_STEPS)
-            runs.append((number, k, result, oracle))
+    for number in SWEPT:
+        machine, word, oracle = machines[number]
+        expected = oracle_tape(machine, word)
+        _, swept = sweep(compile_machine(machine), word, "aggressive", SWEEP_MAX_STEPS)
+        runs.extend((number, k, result, oracle, master_tape(cfg) == expected)
+                    for k, result, _, cfg in swept)
     return runs
 
 
 def test_no_failure_sweep_run_jams(failure_sweeps):
-    assert [(number, k, result.jam_reason) for number, k, result, _ in failure_sweeps
+    assert [(number, k, result.jam_reason) for number, k, result, *_ in failure_sweeps
             if result.outcome == "jammed"] == []
 
 
@@ -127,5 +136,16 @@ def test_no_failure_sweep_run_jams(failure_sweeps):
                           "blank, the restore rebuilds it only up to that blank, and 9 of "
                           "its runs live-lock to the step limit")
 def test_every_failure_sweep_run_shuts_down_with_the_oracle_word(failure_sweeps):
-    assert [(number, k, result.outcome) for number, k, result, oracle in failure_sweeps
+    assert [(number, k, result.outcome) for number, k, result, oracle, _ in failure_sweeps
             if failed(result, oracle)] == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 15: machines 21 and 68 commit a master whose cell 1 "
+                          "is blank, and 8 and 7 of their runs shut down with the oracle word "
+                          "(the empty word) on another tape")
+def test_every_failure_sweep_run_with_the_oracle_word_ends_on_the_oracle_tape(failure_sweeps):
+    """ROADMAP item 20: the oracle's word is the tape up to its first blank,
+    so a word check passes a run whose tape differs past that blank."""
+    assert [(number, k) for number, k, result, oracle, on_tape in failure_sweeps
+            if not failed(result, oracle) and not on_tape] == []

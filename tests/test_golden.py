@@ -20,6 +20,7 @@ from tmfsim import (
     render_trace,
     run,
 )
+from tmfsim.cli import sweep
 
 from conftest import CORPUS
 
@@ -46,10 +47,9 @@ def golden_digest() -> str:
         add(*run(init_configuration(compiled, word, ScriptPolicy({})), with_digests=True))
 
     for row, choice in SWEEPS:
-        compiled, word = machines[row]
-        baseline, _ = run(init_configuration(compiled, word, ScriptPolicy({})))
-        for k in range(baseline.steps_used):
-            add(*run(init_configuration(compiled, word, ScriptPolicy({k: choice}))))
+        _, runs = sweep(*machines[row], choice)
+        for _, result, records, _ in runs:
+            add(result, records)
 
     for compiled, word in machines:
         for allow in (False, True):

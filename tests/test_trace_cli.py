@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import pytest
 from hypothesis import given, strategies as st
 
+from tmfsim import cli
 from tmfsim.cli import main
 from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, run, step
@@ -26,6 +27,12 @@ from conftest import CORPUS, MACHINE_NAMES, corpus_meta, write_definition
 
 GOOD_LINE = ("step=1\tdaemon=passive\tphase=program\tstage=1\tbefore=user:q0"
              "\tafter=user:q0\taction=normal\theads=1,1,0,0,1")
+
+# ROADMAP item 15's tail machine on the word `0`: it writes two cells past
+# its only commit, then walks back to cell 1 and right to the first blank.
+TAIL_RULES = ("q0 0 -> q1 0 R *\nq1 b -> q2 1 R\nq2 b -> q3 1 R\nq3 b -> q4 b L\n"
+              "q4 1 -> q4 1 L\nq4 0 -> q5 0 R\nq5 1 -> q5 1 R\nq5 b -> qf b N\n")
+TAIL_STATES = "initial q0\nhalting qf\ninternal q1 q2 q3 q4 q5\n"
 
 # Everything `str.splitlines` breaks a line at.
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -617,11 +624,51 @@ class TestCliRun:
         assert code == 0
         assert "word: Y" in out
 
-    def test_sweep_fault_step(self, capsys):
-        code, out, _ = run_cli(["run", "-m", corpus_meta("unary"), "--sweep-fault-step"],
-                               capsys)
-        assert code == 0
-        assert "runs shut down with the baseline word" in out
+    @pytest.mark.parametrize("name, flags, code, summary, missed", [
+        ("unary", ["--sweep-fault-step"], 0, "sweep(active): 174/174", 0),
+        ("tail", ["--sweep-failure-step"], 3, "sweep(aggressive): 57/75", 18),
+        ("palin", ["--sweep-failure-step", "--max-steps", "5000"], 2,
+         "sweep(aggressive): 74/79", 5),
+        ("diverge", ["--sweep-fault-step", "--max-steps", "5000"], 2, "sweep(active): 37/38", 1),
+        ("unary", ["--sweep-fault-step", "--max-steps", "10"], 2, None, 0),
+    ], ids=["shutdown", "jammed", "step-limit-failure", "step-limit-fault",
+            "baseline-step-limit"])
+    def test_sweep_exit_paths(self, tmp_path, capsys, name, flags, code, summary, missed):
+        """The tail machine is ROADMAP item 15's: a failure after its commit
+        leaves a stale `1` two cells past the restored master, and the
+        replay jams on it."""
+        if name == "tail":
+            meta = write_definition(tmp_path, alphabet="empty b\ninput 0 1\n", rules=TAIL_RULES,
+                                    word="0\n", states=TAIL_STATES)
+        else:
+            meta = corpus_meta(name)
+        got, out, err = run_cli(["run", "-m", meta, *flags], capsys)
+        assert got == code
+        lines = out.splitlines()
+        assert sum(line.startswith("k=") for line in lines) == missed
+        if summary is None:
+            assert (out, err) == ("", "baseline run did not shut down: step-limit\n")
+        else:
+            assert lines[-1] == f"{summary} runs shut down with the baseline word"
+            assert err == ""
+
+    def test_a_sweep_run_that_shuts_down_with_another_word_exits_1(self, capsys, monkeypatch):
+        """No input found reaches this exit: the stage-7 check shuts a run
+        down only on the reference's word. So `cli.run`, which `cli.sweep`
+        calls, hands back another word for the run with its event at step 3."""
+        real_run = cli.run
+
+        def run_with_a_wrong_word(cfg, **kwargs):
+            result, records = real_run(cfg, **kwargs)
+            if cfg.policy.schedule == {3: "active"}:
+                result = result._replace(final_master_word=("0",))
+            return result, records
+
+        monkeypatch.setattr(cli, "run", run_with_a_wrong_word)
+        code, out, _ = run_cli(["run", "-m", corpus_meta("unary"), "--sweep-fault-step"], capsys)
+        assert code == 1
+        assert out.splitlines() == ["k=3 outcome=shutdown word=0 recoveries=0",
+                                    "sweep(active): 173/174 runs shut down with the baseline word"]
 
 
 class TestCliOther:
