@@ -10,8 +10,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .model import COUNT_PATTERN, read_count
 
@@ -23,8 +22,9 @@ _MASKED = "\tmasked=1"
 _DIGESTS = "\tdigests="
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+# A named tuple: the executor builds one per simulated step, and a tuple is
+# built without a `__setattr__` call per field.
+class TraceRecord(NamedTuple):
     step: int
     daemon: str
     phase: str          # program | failure | repair
@@ -37,13 +37,12 @@ class TraceRecord:
     digests: tuple[str, str, str, str, str] | None = None
 
     def render(self) -> str:
-        heads = self.heads
-        digests = self.digests
-        return (f"step={self.step}\tdaemon={self.daemon}\tphase={self.phase}"
-                f"\tstage={self.stage}\tbefore={self.before}\tafter={self.after}"
-                f"\taction={self.action}"
+        step, daemon, phase, stage, before, after, action, heads, masked, digests = self
+        return (f"step={step}\tdaemon={daemon}\tphase={phase}"
+                f"\tstage={stage}\tbefore={before}\tafter={after}"
+                f"\taction={action}"
                 f"\theads={heads[0]},{heads[1]},{heads[2]},{heads[3]},{heads[4]}"
-                f"{_MASKED if self.masked else ''}"
+                f"{_MASKED if masked else ''}"
                 f"{'' if digests is None else _DIGESTS + ','.join(digests)}")
 
 
@@ -87,13 +86,10 @@ def parse_trace(text: str) -> list[TraceRecord]:
     head_sets: dict[str, tuple[int, ...]] = {}
     digest_sets: dict[str, tuple[str, ...]] = {}
     match_record = _RECORD.fullmatch
-    # Records are filled through their slot descriptors rather than built by
-    # the frozen dataclass `__init__`, which costs a global lookup and an
-    # `object.__setattr__` call per field. A `__post_init__` added to
-    # `TraceRecord` would be skipped here.
-    new = object.__new__
-    (set_step, set_daemon, set_phase, set_stage, set_before, set_after, set_action,
-     set_heads, set_masked, set_digests) = [getattr(TraceRecord, key).__set__ for key in _KEYS]
+    # Records are built by `tuple.__new__` rather than the generated
+    # `TraceRecord.__new__`, which adds a call and a global lookup per record;
+    # `TraceRecord` must therefore not override `__new__` with checks.
+    new = tuple.__new__
     for number, line in enumerate(text.splitlines(), start=1):
         match = match_record(line)
         if match is None:
@@ -123,19 +119,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
             if shared is None:
                 shared = digest_sets[digests] = tuple(digests.split(","))
             digests = shared
-        daemon, phase, stage, before, after, action = fields
-        record = new(TraceRecord)
-        set_step(record, step)
-        set_daemon(record, daemon)
-        set_phase(record, phase)
-        set_stage(record, stage)
-        set_before(record, before)
-        set_after(record, after)
-        set_action(record, action)
-        set_heads(record, heads)
-        set_masked(record, masked is not None)
-        set_digests(record, digests)
-        append(record)
+        append(new(TraceRecord, (step, *fields, heads, masked is not None, digests)))
     return records
 
 

@@ -199,6 +199,15 @@ class TestRun:
         assert result.checkpoints_committed == 4  # opening pass + 2 walk cells + append
         assert records[-1].after == "shutdown"
 
+    def test_passive_unary_takes_the_closed_form_step_count(self, unary):
+        """Passive `unary` on n ones takes `9n² + 43n + 52` steps, the
+        closed form of ROADMAP item 2's cost model."""
+        compiled, _ = unary
+        for n in range(41):
+            result, _ = run(init_configuration(compiled, ("1",) * n, ScriptPolicy({})))
+            assert result.outcome == "shutdown"
+            assert (n, result.steps_used) == (n, 9 * n * n + 43 * n + 52)
+
     def test_failure_after_a_cell_zero_read_recovers(self, succ):
         """A user rule that reads cell 0 (`succ`'s carry) keeps the synchro
         tape's marker, so a later recovery rewind stops there."""

@@ -3,7 +3,6 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +14,7 @@ from tmfsim.executor import init_configuration, run, step
 from tmfsim.model import JamError, ShutdownControl
 from tmfsim.stages import Goto
 from tmfsim.trace import (
+    _KEYS,
     TraceRecord,
     digest_tapes,
     parse_trace,
@@ -194,8 +194,9 @@ class TestTraceFormat:
     @pytest.mark.parametrize("allow", [False, True], ids=["masked", "unmasked"])
     @pytest.mark.parametrize("name", MACHINE_NAMES)
     def test_parsed_records_behave_as_built_ones(self, compiled_corpus, name, allow, mode):
-        """Records that `parse_trace` fills in through their slots equal the
-        executor's, hash and print alike, and copy and pickle as they do."""
+        """Records that `parse_trace` builds with `tuple.__new__` are of the
+        executor's type, equal its records, hash and print alike, and copy
+        and pickle as they do."""
         compiled, word = compiled_corpus[name]
         for with_digests in (False, True):
             cfg = init_configuration(compiled, word, RandomPolicy(0.1, 0.05, 3), allow)
@@ -208,21 +209,26 @@ class TestTraceFormat:
             assert [repr(record) for record in parsed] == [repr(record) for record in records]
             assert pickle.loads(pickle.dumps(parsed)) == records
             for record in parsed:
-                assert replace(record) == record
-                assert replace(record, step=record.step + 1).step == record.step + 1
-            with pytest.raises(FrozenInstanceError):
+                assert type(record) is TraceRecord
+                assert record._replace() == record
+                assert record._replace(step=record.step + 1).step == record.step + 1
+            with pytest.raises(AttributeError):
                 parsed[0].step = 0
 
     def test_parse_trace_fills_every_field(self):
-        """`parse_trace` builds records without `TraceRecord.__init__`, so a
-        `__post_init__` would be skipped and a field it does not set would be
-        left empty: there is no such check, and every field is set."""
-        assert not hasattr(TraceRecord, "__post_init__")
+        """`parse_trace` fills records by position with `tuple.__new__`: the
+        fields must come in `_KEYS` order, and a check in `__new__` would be
+        skipped, so there is none (a named tuple's body cannot define one,
+        and `TraceRecord` has no other base). Every field is set."""
+        assert TraceRecord._fields == _KEYS
+        assert TraceRecord.__bases__ == (tuple,)
         for line, masked, digests in ((GOOD_LINE, False, None),
                                       (GOOD_LINE + "\tmasked=1\tdigests=a,b=,c,d,e", True,
                                        ("a", "b=", "c", "d", "e"))):
             record = parse_trace(line)[0]
-            assert {f.name: getattr(record, f.name) for f in fields(TraceRecord)} == {
+            assert type(record) is TraceRecord
+            assert TraceRecord(*record) == record
+            assert {field: getattr(record, field) for field in TraceRecord._fields} == {
                 "step": 1, "daemon": "passive", "phase": "program", "stage": 1,
                 "before": "user:q0", "after": "user:q0", "action": "normal",
                 "heads": (1, 1, 0, 0, 1), "masked": masked, "digests": digests}
