@@ -87,7 +87,9 @@ def parse_trace(text: str) -> list[TraceRecord]:
     digest_sets: dict[str, tuple[str, ...]] = {}
     match_record = _RECORD.fullmatch
     # Records are built by `tuple.__new__` rather than the generated
-    # `TraceRecord.__new__`, which adds a call and a global lookup per record;
+    # `TraceRecord.__new__`, which adds a call and a global lookup per record:
+    # 0.32 against 0.53 us per record (CPython 3.11.7, `timeit`), and 0.81
+    # against 0.86 s per parse of `random-traced`'s traces at seed 1.
     # `TraceRecord` must therefore not override `__new__` with checks.
     new = tuple.__new__
     for number, line in enumerate(text.splitlines(), start=1):
