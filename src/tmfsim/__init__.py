@@ -14,6 +14,7 @@ from .daemon import (
     decide,
 )
 from .executor import (
+    AlreadyShutDown,
     Configuration,
     OracleStepLimit,
     RunResult,
@@ -42,6 +43,7 @@ from .trace import TraceRecord, parse_trace, render_trace
 __version__ = "0.1.0"
 
 __all__ = [
+    "AlreadyShutDown",
     "Alphabet",
     "BasicMachine",
     "BoundaryViolation",

@@ -36,7 +36,6 @@ from .model import (
     ShutdownControl,
     StageControl,
     Tape,
-    UserControl,
     ValidatedMachine,
 )
 from .stages import CompiledMachine, MASTER, SYNCHRO, USER, stage_step
@@ -53,6 +52,10 @@ class UndefinedRule(JamError):
 
 class OracleStepLimit(Exception):
     """The reference interpreter exceeded its step budget."""
+
+
+class AlreadyShutDown(Exception):
+    """`step` was called on a configuration whose machine has shut down."""
 
 
 class Snapshot(NamedTuple):
@@ -142,7 +145,7 @@ def init_configuration(compiled: CompiledMachine, word: tuple[str, ...],
         Tape(empty, (PLUS,), head=0),    # BACKUP_SYNCHRO
         Tape(empty, word, head=1),       # USER
     )
-    control = StageControl(stage=3, micro_pc=0, resume=machine.initial)
+    control = compiled.controls[3, 0, machine.initial]
     committed = Snapshot(resume=machine.initial, ideal_steps=0)
     return Configuration(
         compiled=compiled,
@@ -178,7 +181,7 @@ def _enter_recovery(cfg: Configuration) -> StageControl:
     replay debt. Every entry into stage 5 goes through here."""
     cfg.recoveries += 1
     cfg.replay_debt = cfg.ideal_steps - cfg.committed.ideal_steps
-    return StageControl(stage=5, micro_pc=0, resume=cfg.committed.resume)
+    return cfg.compiled.controls[5, 0, cfg.committed.resume]
 
 
 def _digests(cfg: Configuration) -> tuple[str, str, str, str, str]:
@@ -203,34 +206,39 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
     A failure step emits three records (failure, stabilize, restore) under
     one step index; every other step emits one record. The records are the
     only account of what the step did: checkpoint entries, marks, commits
-    and verifications are named by their `action`.
+    and verifications are named by their `action`. Raises AlreadyShutDown,
+    before the daemon draws, on a configuration that has shut down.
     """
     control = cfg.control
-    assert not isinstance(control, ShutdownControl), "machine already shut down"
-    staged = isinstance(control, StageControl)
+    if control.__class__ is ShutdownControl:
+        raise AlreadyShutDown(f"machine already shut down (step {cfg.step_index})")
+    staged = control.__class__ is StageControl
     choice, masked = decide(cfg.policy, cfg.step_index,
                             staged and control.stage in CRITICAL_STAGES,
                             cfg.allow_failure_in_critical)
-    before = control.render()
+    before = control.text
 
     if staged and choice != AGGRESSIVE:
         # A stage micro-step, nearly every step of a run.
         stage = control.stage
         after, action = stage_step(cfg.compiled, control, cfg.tapes)
-        if action == "commit":
-            cfg.committed = Snapshot(resume=control.resume, ideal_steps=cfg.ideal_steps)
-            cfg.checkpoints_committed += 1
-        if isinstance(after, StageControl):
-            if after.stage == 5 and stage != 5:
+        after_text = before
+        if after is not control:
+            # The op ended; while a scan or rewind goes on, none of this can.
+            if action == "commit":
+                cfg.committed = Snapshot(resume=control.resume, ideal_steps=cfg.ideal_steps)
+                cfg.checkpoints_committed += 1
+            if after.__class__ is StageControl and after.stage == 5 and stage != 5:
                 after = _enter_recovery(cfg)
-        elif isinstance(after, ShutdownControl) and not cfg.ideal_halted:
-            # The summary check passed before the reference halted: the
-            # master reached the halting state early, so its word is not
-            # the reference's yet.
-            after = _enter_recovery(cfg)
-            action = "summary-recover"
-        cfg.control = after
-        records = [TraceRecord(cfg.step_index, choice, "program", stage, before, after.render(),
+            elif after.__class__ is ShutdownControl and not cfg.ideal_halted:
+                # The summary check passed before the reference halted: the
+                # master reached the halting state early, so its word is not
+                # the reference's yet.
+                after = _enter_recovery(cfg)
+                action = "summary-recover"
+            cfg.control = after
+            after_text = after.text
+        records = [TraceRecord(cfg.step_index, choice, "program", stage, before, after_text,
                                action, cfg.heads(), masked,
                                _digests(cfg) if with_digests else None)]
         cfg.step_index += 1
@@ -248,16 +256,15 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
                            masked, with_digests)
         cfg.control = _enter_recovery(cfg)
         rec_restore = _record(cfg, choice, "repair", stage_label, before,
-                              cfg.control.render(), "restore", masked, with_digests)
+                              cfg.control.text, "restore", masked, with_digests)
         records = [rec_fail, rec_stab, rec_restore]
 
     else:
-        assert isinstance(control, UserControl)
         state = control.state
         if state == machine.halting:
             # Computation proper is over; run the summary check.
-            cfg.control = StageControl(stage=7, micro_pc=0, resume=cfg.committed.resume)
-            records = [_record(cfg, choice, "program", 1, before, cfg.control.render(),
+            cfg.control = cfg.compiled.controls[7, 0, cfg.committed.resume]
+            records = [_record(cfg, choice, "program", 1, before, cfg.control.text,
                                "normal", masked, with_digests)]
         else:
             master, synchro = cfg.tapes[MASTER], cfg.tapes[SYNCHRO]
@@ -285,12 +292,12 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
             else:
                 _advance_ideal(cfg)
             if rule.checkpoint and not debt_open:
-                cfg.control = StageControl(stage=2, micro_pc=0, resume=rule.to_state)
+                cfg.control = cfg.compiled.controls[2, 0, rule.to_state]
                 if action == "normal":
                     action = "checkpoint-enter"
             else:
-                cfg.control = UserControl(rule.to_state)
-            records = [_record(cfg, choice, "program", 1, before, cfg.control.render(),
+                cfg.control = cfg.compiled.controls[rule.to_state]
+            records = [_record(cfg, choice, "program", 1, before, cfg.control.text,
                                action, masked, with_digests)]
 
     cfg.step_index += 1
@@ -308,7 +315,7 @@ def run(cfg: Configuration, max_steps: int = DEFAULT_MAX_STEPS, monitor=None,
     records: list[TraceRecord] = []
     jam_reason: str | None = None
     while True:
-        if isinstance(cfg.control, ShutdownControl):
+        if cfg.control.__class__ is ShutdownControl:
             outcome = "shutdown"
             break
         if cfg.step_index >= max_steps:

@@ -337,20 +337,17 @@ class Tape:
 
 
 # Program-control variants. Stage #1 is represented by UserControl; the stage
-# records cover only the embedded machinery (#2..#7). A control renders its
-# text once, when built, and interns it, so trace records with equal control
-# text share one string.
+# records cover only the embedded machinery (#2..#7). A control's `text`, its
+# trace form, is rendered and interned once, when it is built; a compiled
+# machine builds each control once (`stages.Controls`) and its runs share it.
 
 @dataclass(frozen=True)
 class UserControl:
     state: str
-    _text: str = field(init=False, repr=False, compare=False)
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_text", sys.intern(f"user:{self.state}"))
-
-    def render(self) -> str:
-        return self._text
+        object.__setattr__(self, "text", sys.intern(f"user:{self.state}"))
 
 
 @dataclass(frozen=True)
@@ -358,18 +355,14 @@ class StageControl:
     stage: int
     micro_pc: int
     resume: str
-    _text: str = field(init=False, repr=False, compare=False)
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_text",
+        object.__setattr__(self, "text",
                            sys.intern(f"stage:{self.stage}/{self.micro_pc}/{self.resume}"))
-
-    def render(self) -> str:
-        return self._text
 
 
 class ShutdownControl:
     __slots__ = ()
 
-    def render(self) -> str:
-        return "shutdown"
+    text = "shutdown"

@@ -22,7 +22,6 @@ before stopping; cells beyond it are stale and invisible to every comparison.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple
 
 from .model import (
     BoundaryViolation,
@@ -59,29 +58,30 @@ class PlusNotFound(JamError):
     """A position-restoring seek ran out of written tape without finding "+"."""
 
 
-class StageStep(NamedTuple):
-    """Outcome of one stage micro-step.
-
-    control: the follow-up program control. action: the step's trace action,
-    "commit" when the stage-4 position compare reaches its "+", otherwise
-    "micro:<op>" for the micro-op that ran.
-    """
-
-    control: StageControl | UserControl | ShutdownControl
-    action: str
+Control = StageControl | UserControl | ShutdownControl
+Tapes = tuple[Tape, ...]
 
 
-def _goto(target: int | str, control: StageControl) -> StageControl:
+class Controls(dict):
+    """A compiled machine's controls, each built on first use: a StageControl
+    under its (stage, micro_pc, resume), a UserControl under its state."""
+
+    def __missing__(self, key: tuple[int, int, str] | str) -> StageControl | UserControl:
+        control = self[key] = StageControl(*key) if key.__class__ is tuple else UserControl(key)
+        return control
+
+
+def _goto(target: int | str, control: StageControl, controls: Controls) -> StageControl:
     if target == NEXT:
-        return StageControl(control.stage, control.micro_pc + 1, control.resume)
-    assert isinstance(target, int)
-    return StageControl(target, 0, control.resume)
+        return controls[control.stage, control.micro_pc + 1, control.resume]
+    return controls[target, 0, control.resume]
 
 
-# Each op's `step(control, tapes)` runs one cell-granular micro-step of that
-# op and returns its StageStep. Heads move by direct assignment; cells change
-# only through `Tape.write`, which keeps the digest cache right. `action` is
-# the op's trace action, `micro:<op>`, rendered once when the op is built.
+# Each op's `step(control, tapes, controls)` runs one cell-granular micro-step
+# and returns (control, action): `control` itself while the op goes on, else
+# its successor from `controls`, and the trace action, `micro:<op>` rendered
+# once when the op is built or "commit". Heads move by direct assignment;
+# cells change only through `Tape.write`, which keeps the digest cache right.
 
 class Rewind(ReadOnly):
     __slots__ = ("tapes", "action")
@@ -93,7 +93,7 @@ class Rewind(ReadOnly):
     def render(self) -> str:
         return f"rewind({','.join(TAPE_NAMES[index] for index in self.tapes)})"
 
-    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
         at_markers = True
         for index in self.tapes:
             tape = tapes[index]
@@ -106,8 +106,8 @@ class Rewind(ReadOnly):
             if head >= len(cells) or cells[head] not in MARKERS:
                 at_markers = False
         if at_markers:
-            return StageStep(_goto(NEXT, control), self.action)
-        return StageStep(control, self.action)
+            return _goto(NEXT, control, controls), self.action
+        return control, self.action
 
 
 class ScanCompare(ReadOnly):
@@ -130,21 +130,21 @@ class ScanCompare(ReadOnly):
         return (f"compare({TAPE_NAMES[self.tape_a]},{TAPE_NAMES[self.tape_b]},"
                 f"stop={self.stop},eq={self.on_equal},diff={self.on_diff})")
 
-    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
         a, b = tapes[self.tape_a], tapes[self.tape_b]
         cells_a, head_a, cells_b, head_b = a.cells, a.head, b.cells, b.head
         sym = cells_a[head_a] if head_a < len(cells_a) else a.empty
         if sym != (cells_b[head_b] if head_b < len(cells_b) else b.empty):
-            return StageStep(_goto(self.on_diff, control), self.action)
+            return _goto(self.on_diff, control, controls), self.action
         if sym in POSITION_MARKS if self.stop == STOP_PLUS else sym == a.empty:
-            return StageStep(_goto(self.on_equal, control), self.stop_action)
+            return _goto(self.on_equal, control, controls), self.stop_action
         if head_a >= len(cells_a) and head_b >= len(cells_b):
             # Uniform filler from here on: the scan can never distinguish the
             # tapes again, but no terminator was seen either, so no commit.
-            return StageStep(_goto(self.on_equal, control), self.action)
+            return _goto(self.on_equal, control, controls), self.action
         a.head = head_a + 1
         b.head = head_b + 1
-        return StageStep(control, self.action)
+        return control, self.action
 
 
 class ScanCopy(ReadOnly):
@@ -159,17 +159,17 @@ class ScanCopy(ReadOnly):
     def render(self) -> str:
         return f"copy({TAPE_NAMES[self.src]}->{TAPE_NAMES[self.dst]},stop={self.stop})"
 
-    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
         src, dst = tapes[self.src], tapes[self.dst]
         cells, head = src.cells, src.head
         sym = cells[head] if head < len(cells) else src.empty
         dst.write(sym)
         if (sym in POSITION_MARKS if self.stop == STOP_PLUS else sym == src.empty) \
                 or head >= len(cells):
-            return StageStep(_goto(NEXT, control), self.action)
+            return _goto(NEXT, control, controls), self.action
         src.head = head + 1
         dst.head += 1
-        return StageStep(control, self.action)
+        return control, self.action
 
 
 class SeekPlus:
@@ -180,16 +180,16 @@ class SeekPlus:
     def render(self) -> str:
         return "seek_plus"
 
-    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
         synchro = tapes[SYNCHRO]
         cells, head = synchro.cells, synchro.head
         if head >= len(cells):
             raise PlusNotFound(f"no '+' on the position tape (stage {control.stage})")
         if cells[head] in POSITION_MARKS:
-            return StageStep(_goto(NEXT, control), self.action)
+            return _goto(NEXT, control, controls), self.action
         tapes[MASTER].head += 1
         synchro.head = head + 1
-        return StageStep(control, self.action)
+        return control, self.action
 
 
 class MarkPlus:
@@ -200,10 +200,10 @@ class MarkPlus:
     def render(self) -> str:
         return "mark_plus"
 
-    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
+    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
         synchro = tapes[SYNCHRO]
         synchro.write(MARKER_PLUS if synchro.head == 0 else PLUS)
-        return StageStep(_goto(NEXT, control), self.action)
+        return _goto(NEXT, control, controls), self.action
 
 
 class EnterUser:
@@ -215,8 +215,8 @@ class EnterUser:
     def render(self) -> str:
         return "enter_user"
 
-    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
-        return StageStep(UserControl(control.resume), self.action)
+    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
+        return controls[control.resume], self.action
 
 
 class EnterShutdown:
@@ -227,8 +227,8 @@ class EnterShutdown:
     def render(self) -> str:
         return "enter_shutdown"
 
-    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
-        return StageStep(ShutdownControl(), self.action)
+    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
+        return ShutdownControl(), self.action
 
 
 class Goto(ReadOnly):
@@ -244,8 +244,8 @@ class Goto(ReadOnly):
     def render(self) -> str:
         return f"goto(stage {self.target})"
 
-    def step(self, control: StageControl, tapes: tuple[Tape, ...]) -> StageStep:
-        return StageStep(StageControl(self.target, 0, control.resume), self.action)
+    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
+        return controls[self.target, 0, control.resume], self.action
 
 
 MicroOp = (Rewind | ScanCompare | ScanCopy | SeekPlus | MarkPlus | EnterUser | EnterShutdown
@@ -270,11 +270,12 @@ class StageProgram(ReadOnly):
 
 
 class CompiledMachine(ReadOnly):
-    __slots__ = ("base", "stage_programs")
+    __slots__ = ("base", "stage_programs", "controls")
 
     def __init__(self, base: ValidatedMachine, stage_programs: dict[int, StageProgram]):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "stage_programs", stage_programs)
+        object.__setattr__(self, "controls", Controls())
 
 
 # Branch wiring: #2 equal->#3 / differ->#5; #3 -> #4; #4 backup differ->#3,
@@ -335,13 +336,13 @@ def compile_machine(machine: ValidatedMachine) -> CompiledMachine:
     The programs are machine independent, so this builds none: the result
     holds a fresh dict of its own over the shared, frozen `STAGE_PROGRAMS`
     objects. Assigning into one machine's dict leaves every other machine's
-    as it is.
+    as it is. Its `controls` start empty and fill as its runs enter them.
     """
     return CompiledMachine(base=machine, stage_programs=dict(STAGE_PROGRAMS))
 
 
 def stage_step(compiled: CompiledMachine, control: StageControl,
-               tapes: tuple[Tape, ...]) -> StageStep:
+               tapes: Tapes) -> tuple[Control, str]:
     """Execute one cell-granular micro-step of the current stage program.
 
     Each call moves every head it touches by at most one cell, so one call
@@ -349,7 +350,8 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
     step on which they are observed. A branch into recovery (stage 5) keeps
     the current resume state; the executor replaces it with the committed one.
     """
-    return compiled.stage_programs[control.stage].ops[control.micro_pc].step(control, tapes)
+    return compiled.stage_programs[control.stage].ops[control.micro_pc].step(
+        control, tapes, compiled.controls)
 
 
 def _rule_rows(machine: ValidatedMachine) -> list[str]:

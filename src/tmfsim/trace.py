@@ -170,16 +170,7 @@ def summarize(records: list[TraceRecord]) -> list[TraceRecord]:
     """Keep only the notable records: faults, failures and repairs,
     downgrades, checkpoint entries, marks, commits, recoveries from the
     summary check, and control handoffs."""
-    keep = []
-    for record in records:
-        notable = (
-            record.phase != "program"
-            or record.masked
-            or record.action.startswith("fault:")
+    return [record for record in records
+            if record.phase != "program" or record.masked
             or record.action in ("checkpoint-enter", "commit", "summary-recover")
-            or record.action.startswith("micro:enter_")
-            or record.action.startswith("micro:mark_plus")
-        )
-        if notable:
-            keep.append(record)
-    return keep
+            or record.action.startswith(("fault:", "micro:enter_", "micro:mark_plus"))]

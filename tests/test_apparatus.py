@@ -1,4 +1,5 @@
-"""The restore contract of the stage programs, checked by enumeration.
+"""The restore, rewind and compare contracts of the stage programs,
+checked by enumeration.
 
 The stage programs are machine independent, so whether backup and restore
 are correct is a property of the programs alone (ROADMAP item 18). Each
@@ -16,6 +17,18 @@ The contract: stages 3 and 4 commit, and after stages 5 and 6 the master
 cells, trimmed of trailing blanks, and the master head equal the committed
 ones.
 
+The rewind contract: every `Rewind` ends with each head it lists at cell 0
+after max(1, the highest of those heads) steps, and moves no other head and
+changes no cell, so cell 0 keeps its `!` or `!+`.
+
+The compare contract: a `ScanCompare` started at cell 0 takes its equal
+branch exactly when the tapes agree up to their first shared terminator, and
+it leaves on the step that reads the first difference or that terminator.
+It commits only on the terminator, and only if it is the commit compare. A
+stop-plus scan over position tapes that hold no `+` is the one exception:
+it ends equal at the written extent, as `test_stages.TestAllocationExits`
+pins.
+
 Two data symbols stand for any alphabet. The ops compare cells only with
 each other and with `!`, the empty symbol and `+`, so a run depends on
 which cells hold equal symbols, not on which symbols they are, and two data
@@ -30,6 +43,8 @@ import itertools
 import pytest
 
 from tmfsim.model import (
+    MARKER,
+    MARKER_PLUS,
     PLUS,
     Alphabet,
     BasicMachine,
@@ -39,7 +54,19 @@ from tmfsim.model import (
     UserControl,
     validate_machine,
 )
-from tmfsim.stages import MASTER, SYNCHRO, compile_machine, stage_step
+from tmfsim.stages import (
+    BACKUP_SYNCHRO,
+    MASTER,
+    NEXT,
+    POSITION_MARKS,
+    Rewind,
+    ScanCompare,
+    STAGE_PROGRAMS,
+    STOP_PLUS,
+    SYNCHRO,
+    compile_machine,
+    stage_step,
+)
 
 from conftest import trimmed
 
@@ -67,9 +94,8 @@ def drive(stage: int, tapes) -> int | None:
     control = StageControl(stage, 0, "q0")
     commits = 0
     for _ in range(STAGE_STEPS):
-        result = stage_step(COMPILED, control, tapes)
-        commits += result.action == "commit"
-        control = result.control
+        control, action = stage_step(COMPILED, control, tapes)
+        commits += action == "commit"
         if isinstance(control, UserControl):
             return commits
     return None
@@ -124,3 +150,119 @@ def test_every_restore_violation_is_an_item_15_class(cases):
                           "restore leaves the master cells past the backup's terminator")
 def test_restore_rebuilds_the_committed_master(cases):
     assert all(restored for *_, restored in cases)
+
+
+POSITION_TAPES = (SYNCHRO, BACKUP_SYNCHRO)
+POSITION_CONTENTS = [cells for n in range(L + 1)
+                     for cells in itertools.product((EMPTY, PLUS), repeat=n)]
+
+
+def op_sites(kind) -> list:
+    """(stage, micro_pc, op) of every op of `kind` in the stage programs."""
+    return [pytest.param(stage, pc, op, id=f"{stage}/{pc}")
+            for stage, program in STAGE_PROGRAMS.items()
+            for pc, op in enumerate(program.ops) if isinstance(op, kind)]
+
+
+def tape_choices(index: int) -> list[tuple[str, tuple[str, ...]]]:
+    """(cell 0, cells from 1) a tape may hold: every content of up to L cells
+    over its symbols, and on a position tape both marker symbols."""
+    if index in POSITION_TAPES:
+        return [(zero, cells) for zero in (MARKER, MARKER_PLUS) for cells in POSITION_CONTENTS]
+    return [(MARKER, cells) for cells in CONTENTS]
+
+
+def build_tape(zero: str, cells: tuple[str, ...], head: int) -> Tape:
+    tape = Tape(EMPTY, cells, head)
+    tape.cells[0] = zero
+    return tape
+
+
+def branch(control: StageControl, target) -> StageControl:
+    if target == NEXT:
+        return StageControl(control.stage, control.micro_pc + 1, control.resume)
+    return StageControl(target, 0, control.resume)
+
+
+def run_op(control: StageControl, tapes) -> tuple[object, list[str]]:
+    """Step the op under `control` until control leaves it: the control it
+    left to and the actions of its steps. While the op goes on, each step
+    returns the control it was given, the object itself."""
+    actions = []
+    for _ in range(STAGE_STEPS):
+        after, action = stage_step(COMPILED, control, tapes)
+        actions.append(action)
+        if after is not control:
+            assert after != control
+            return after, actions
+    raise AssertionError("op did not finish")
+
+
+@pytest.mark.parametrize("stage, pc, op", op_sites(Rewind))
+def test_every_rewind_ends_at_cell_0_and_changes_no_cell(stage, pc, op):
+    """A rewind reads a cell only to ask whether it holds `!` or `!+`, so a
+    listed tape's content matters only through its extent and its cell 0.
+    Each listed tape holds 0 to L cells, blank but for a last "1" (on a
+    position tape, a last "+"), under either marker symbol on a position
+    tape, with its head anywhere from 0 to L + 1."""
+    control = COMPILED.controls[stage, pc, "q0"]
+    per_tape = []
+    for index in op.tapes:
+        fill = PLUS if index in POSITION_TAPES else "1"
+        zeros = (MARKER, MARKER_PLUS) if index in POSITION_TAPES else (MARKER,)
+        per_tape.append([(zero, (EMPTY,) * (n - 1) + (fill,) if n else (), head)
+                         for zero in zeros for n in range(L + 1) for head in range(L + 2)])
+    for choice in itertools.product(*per_tape):
+        tapes = [Tape(EMPTY, ("0",), 1) for _ in range(5)]
+        for index, (zero, cells, head) in zip(op.tapes, choice):
+            tapes[index] = build_tape(zero, cells, head)
+        before = [list(tape.cells) for tape in tapes]
+        after, actions = run_op(control, tapes)
+        assert after == branch(control, NEXT)
+        assert len(actions) == max(1, *(head for _, _, head in choice))
+        assert set(actions) == {op.action}
+        assert [tape.cells for tape in tapes] == before
+        assert [tape.head for tape in tapes] == [0 if index in op.tapes else 1
+                                                 for index in range(5)]
+
+
+def expected_compare(a: Tape, b: Tape, stops) -> tuple[bool | None, int]:
+    """(whether the tapes agree up to their first shared terminator, the
+    cells read to see it); None for a scan that meets no terminator."""
+    i = 0
+    while True:
+        sa = a.cells[i] if i < len(a.cells) else EMPTY
+        sb = b.cells[i] if i < len(b.cells) else EMPTY
+        if sa != sb:
+            return False, i + 1
+        if sa in stops:
+            return True, i + 1
+        if i >= len(a.cells) and i >= len(b.cells):
+            return None, i + 1
+        i += 1
+
+
+@pytest.mark.parametrize("stage, pc, op", op_sites(ScanCompare))
+def test_every_compare_reports_equal_exactly_up_to_the_terminator(stage, pc, op):
+    control = COMPILED.controls[stage, pc, "q0"]
+    stops = POSITION_MARKS if op.stop == STOP_PLUS else (EMPTY,)
+    outcomes = set()
+    for (zero_a, cells_a), (zero_b, cells_b) in itertools.product(tape_choices(op.tape_a),
+                                                                  tape_choices(op.tape_b)):
+        tapes = [Tape(EMPTY, (), 0) for _ in range(5)]
+        tapes[op.tape_a] = build_tape(zero_a, cells_a, 0)
+        tapes[op.tape_b] = build_tape(zero_b, cells_b, 0)
+        equal, reads = expected_compare(tapes[op.tape_a], tapes[op.tape_b], stops)
+        after, actions = run_op(control, tapes)
+        outcomes.add(equal)
+        if equal is None:
+            # The allocation-extent exit: position tapes without a mark.
+            assert op.stop == STOP_PLUS
+            assert not any(cell in POSITION_MARKS for cell in (*tapes[op.tape_a].cells,
+                                                                *tapes[op.tape_b].cells))
+            continue
+        assert after == branch(control, op.on_equal if equal else op.on_diff)
+        assert len(actions) == reads
+        assert actions[:-1] == [op.action] * (reads - 1)
+        assert actions[-1] == (op.stop_action if equal else op.action)
+    assert outcomes >= {True, False}

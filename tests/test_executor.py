@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmfsim.cli import sweep
 from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import (
+    AlreadyShutDown,
     OracleStepLimit,
     RunResult,
     Snapshot,
@@ -16,6 +19,7 @@ from tmfsim.executor import (
 from tmfsim.model import (
     Alphabet,
     BasicMachine,
+    JamError,
     PLUS,
     Rule,
     ShutdownControl,
@@ -450,3 +454,67 @@ def test_snapshot_is_a_read_only_record():
     assert Snapshot._fields == ("resume", "ideal_steps")
     with pytest.raises(AttributeError):
         snapshot.ideal_steps = 1
+
+
+class TestStepPath:
+    def test_stepping_a_shut_down_run_raises_before_the_daemon_draws(self, unary):
+        """The check is not an `assert`, so it holds under `python -O` too."""
+        compiled, word = unary
+        cfg = init_configuration(compiled, word, RandomPolicy(0.0, 0.0, seed=1))
+        result, _ = run(cfg)
+        assert result.outcome == "shutdown"
+        state, index = cfg.policy._rng.getstate(), cfg.step_index
+        with pytest.raises(AlreadyShutDown):
+            step(cfg)
+        assert not issubclass(AlreadyShutDown, JamError)
+        assert cfg.policy._rng.getstate() == state and cfg.step_index == index
+        assert run(cfg)[0] == result
+
+    def test_python_calls_per_step(self, corpus):
+        """Python-level calls per simulated step of a passive `unary` run on
+        six ones, filling a fresh machine's controls on the way: 10.85 when
+        each op returned a named tuple and each control change built a
+        control. The count does not depend on timing."""
+        machine, _ = corpus["unary"]
+        cfg = init_configuration(compile_machine(machine), ("1",) * 6)
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            result, _ = run(cfg)
+        finally:
+            sys.setprofile(None)
+        assert result.steps_used == 634
+        assert calls / result.steps_used <= 8.1
+
+    @staticmethod
+    def controls_entered(compiled, word):
+        """Every control a fault-free run and a run with a fault and a
+        failure enter, in order."""
+        seen = []
+        for schedule in ({}, {40: "active", 90: "aggressive"}):
+            cfg = init_configuration(compiled, word, ScriptPolicy(schedule))
+            seen.append(cfg.control)
+            result, _ = run(cfg, monitor=lambda records, c: seen.append(c.control))
+            assert result.outcome == "shutdown"
+        return [control for control in seen if not isinstance(control, ShutdownControl)]
+
+    def test_controls_are_built_once_per_compiled_machine(self, corpus):
+        machine, word = corpus["succ"]
+        compiled = compile_machine(machine)
+        mine = self.controls_entered(compiled, word)
+        assert {control.stage for control in mine if isinstance(control, StageControl)} \
+            == {2, 3, 4, 5, 6, 7}
+        for control in mine:
+            key = ((control.stage, control.micro_pc, control.resume)
+                   if isinstance(control, StageControl) else control.state)
+            assert compiled.controls[key] is control
+        assert len({id(control) for control in mine}) == len({control.text for control in mine})
+        other = compile_machine(machine)
+        theirs = self.controls_entered(other, word)
+        assert theirs == mine
+        assert not {id(control) for control in mine} & {id(control) for control in theirs}

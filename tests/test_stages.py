@@ -57,17 +57,17 @@ def tape_set(empty="b", master=(), synchro=(), backup=(), backup_synchro=(), use
 
 
 def drive(compiled, stage, tapes, resume="q0", limit=10_000):
-    """Run stage micro-steps until control leaves the stage family."""
+    """Run stage micro-steps until control leaves the stage family; the
+    control it left to and the (control, action) pair of every step."""
     control = StageControl(stage, 0, resume)
     path = []
     for _ in range(limit):
-        result = stage_step(compiled, control, tapes)
-        path.append(result)
-        if not isinstance(result.control, StageControl):
-            return result, path
-        control = result.control
+        control, action = stage_step(compiled, control, tapes)
+        path.append((control, action))
+        if not isinstance(control, StageControl):
+            return control, path
         if control.stage != stage:
-            return result, path
+            return control, path
     raise AssertionError("stage did not terminate")
 
 
@@ -118,14 +118,14 @@ class TestStageStep:
     def test_compare_identical_tapes_takes_equal_branch(self):
         compiled = compile_machine(small_machine())
         tapes = tape_set(master=("1", "0"), user=("1", "0"))
-        result, _ = drive(compiled, 2, tapes)
-        assert result.control == StageControl(3, 0, "q0")
+        control, _ = drive(compiled, 2, tapes)
+        assert control == StageControl(3, 0, "q0")
 
     def test_compare_first_mismatch_takes_diff_branch(self):
         compiled = compile_machine(small_machine())
         tapes = tape_set(master=("1", "0"), user=("1", "1"))
-        result, path = drive(compiled, 2, tapes)
-        assert result.control.stage == 5
+        control, _ = drive(compiled, 2, tapes)
+        assert control.stage == 5
         # mismatch observed at cell index 2
         assert tapes[MASTER].head == 2 and tapes[USER].head == 2
 
@@ -135,8 +135,7 @@ class TestStageStep:
         control = StageControl(3, 0, "q0")
         # run just the master->backup rewind+copy (first two ops)
         for _ in range(40):
-            result = stage_step(compiled, control, tapes)
-            control = result.control
+            control, _ = stage_step(compiled, control, tapes)
             if control.micro_pc >= 2:
                 break
         assert tapes[BACKUP].cells == ["!", "1", "0", "1", "b", "0"]
@@ -144,9 +143,8 @@ class TestStageStep:
         tapes[MASTER].head = tapes[BACKUP].head = 3
         control = StageControl(4, 0, "q0")
         for _ in range(40):
-            result = stage_step(compiled, control, tapes)
-            assert isinstance(result.control, StageControl)
-            control = result.control
+            control, _ = stage_step(compiled, control, tapes)
+            assert isinstance(control, StageControl)
             if control.micro_pc == 2:  # past the master/backup compare
                 break
         assert control.stage == 4
@@ -158,10 +156,9 @@ class TestStageStep:
         tapes[SYNCHRO].head = 0
         control = StageControl(4, 5, "q0")  # SeekPlus op
         for _ in range(10):
-            result = stage_step(compiled, control, tapes)
-            if not isinstance(result.control, StageControl) or result.control.micro_pc != 5:
+            control, _ = stage_step(compiled, control, tapes)
+            if not isinstance(control, StageControl) or control.micro_pc != 5:
                 break
-            control = result.control
         assert tapes[MASTER].head == 3
         assert tapes[SYNCHRO].read() == "+"
 
@@ -175,9 +172,8 @@ class TestStageStep:
         control = StageControl(2, 0, "q0")
         actions = []
         for _ in range(100):
-            result = stage_step(compiled, control, tapes)
-            actions.append(result.action)
-            control = result.control
+            control, action = stage_step(compiled, control, tapes)
+            actions.append(action)
             if not isinstance(control, StageControl):
                 break
         assert control == UserControl("q0")
@@ -195,23 +191,22 @@ class TestStageStep:
         control = StageControl(4, 5, "q0")
         with pytest.raises(PlusNotFound):
             for _ in range(10):
-                result = stage_step(compiled, control, tapes)
-                control = result.control
+                control, _ = stage_step(compiled, control, tapes)
 
     def test_mark_plus_writes_at_current_cell(self):
         compiled = compile_machine(small_machine())
         tapes = tape_set(synchro=("b", "b"))
         tapes[SYNCHRO].head = 2
-        result = stage_step(compiled, StageControl(2, 0, "q0"), tapes)
-        assert result.action == "micro:mark_plus"
+        _, action = stage_step(compiled, StageControl(2, 0, "q0"), tapes)
+        assert action == "micro:mark_plus"
         assert tapes[SYNCHRO].cells == ["!", "b", "+"]
 
     def test_backup_copy_carries_the_position_mark(self):
         compiled = compile_machine(small_machine())
         tapes = tape_set(master=("1", "1"), synchro=("b", "b", "+"),
                          backup=("1", "1"), backup_synchro=("+",))
-        result, _ = drive(compiled, 3, tapes)
-        assert result.control == StageControl(4, 0, "q0")
+        control, _ = drive(compiled, 3, tapes)
+        assert control == StageControl(4, 0, "q0")
         cells = tapes[BACKUP_SYNCHRO].cells
         assert cells[:4] == ["!", "b", "b", "+"]
         assert cells.count("+") == 1
@@ -227,10 +222,10 @@ class TestAllocationExits:
         control it left to."""
         actions = []
         for _ in range(limit):
-            result = stage_step(compiled, control, tapes)
-            actions.append(result.action)
-            if result.control != control:
-                return result.control, actions
+            after, action = stage_step(compiled, control, tapes)
+            actions.append(action)
+            if after != control:
+                return after, actions
         raise AssertionError("op did not finish")
 
     @pytest.mark.parametrize("stage", [4, 6])
@@ -326,11 +321,12 @@ class TestSharedStagePrograms:
     (SeekPlus, "seek_plus"), (MarkPlus, "mark_plus"), (EnterUser, "enter_user"),
     (EnterShutdown, "enter_shutdown"), (ShutdownControl, "shutdown")])
 def test_fieldless_classes_hold_nothing(cls, text):
+    """Ops render their text; a control holds it as `text`."""
     instance = cls()
     assert cls.__slots__ == ()
     with pytest.raises(AttributeError):
         instance.anything = 1
-    assert instance.render() == text
+    assert (instance.text if cls is ShutdownControl else instance.render()) == text
 
 
 def test_only_the_classes_a_step_builds_are_dataclasses():
@@ -398,16 +394,14 @@ def test_copy_then_compare_always_equal(src, dst):
     tapes = tape_set(master=tuple(src), backup=tuple(dst))
     control = StageControl(3, 0, "q0")
     for _ in range(4 * (len(src) + len(dst)) + 40):
-        result = stage_step(compiled, control, tapes)
-        control = result.control
+        control, _ = stage_step(compiled, control, tapes)
         if control.micro_pc >= 2:
             break
     tapes[MASTER].head = tapes[BACKUP].head = 0
     control = StageControl(4, 1, "q0")  # the master/backup compare
     for _ in range(4 * (len(src) + len(dst)) + 40):
-        result = stage_step(compiled, control, tapes)
-        assert isinstance(result.control, StageControl)
-        control = result.control
+        control, _ = stage_step(compiled, control, tapes)
+        assert isinstance(control, StageControl)
         if (control.stage, control.micro_pc) != (4, 1):
             break
     assert (control.stage, control.micro_pc) == (4, 2)  # equal branch
@@ -422,8 +416,7 @@ def test_rewind_is_idempotent(heads):
     def rewind_to_completion():
         control = StageControl(2, 1, "q0")  # the rewind op of the check stage
         for _ in range(100):
-            result = stage_step(compiled, control, tapes)
-            control = result.control
+            control, _ = stage_step(compiled, control, tapes)
             if control.micro_pc != 1:
                 return
         raise AssertionError("rewind did not finish")
