@@ -9,7 +9,6 @@ position-tracking tapes use the fixed alphabet {"!", empty, "+"}.
 from __future__ import annotations
 
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -63,8 +62,8 @@ def read_count(text: str) -> int:
 
 class ReadOnly:
     """Base of the slotted classes whose instances are shared once built:
-    alphabets, rules, machines, stage ops and programs. `__init__` fills
-    each slot through `object.__setattr__`; any later assignment or
+    alphabets, rules, machines, stage ops and compiled machines. `__init__`
+    fills each slot through `object.__setattr__`; any later assignment or
     deletion raises AttributeError."""
 
     __slots__ = ()
@@ -338,8 +337,8 @@ class Tape:
 
 # Program-control variants. Stage #1 is represented by UserControl; the stage
 # records cover only the embedded machinery (#2..#7). A control's `text`, its
-# trace form, is rendered and interned once, when it is built; a compiled
-# machine builds each control once (`stages.Controls`) and its runs share it.
+# trace form, is rendered once, when it is built; a compiled machine builds
+# each control once (`stages.Controls`), so its runs' records share the text.
 
 @dataclass(frozen=True)
 class UserControl:
@@ -347,7 +346,7 @@ class UserControl:
     text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "text", sys.intern(f"user:{self.state}"))
+        object.__setattr__(self, "text", f"user:{self.state}")
 
 
 @dataclass(frozen=True)
@@ -358,8 +357,7 @@ class StageControl:
     text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "text",
-                           sys.intern(f"stage:{self.stage}/{self.micro_pc}/{self.resume}"))
+        object.__setattr__(self, "text", f"stage:{self.stage}/{self.micro_pc}/{self.resume}")
 
 
 class ShutdownControl:

@@ -6,8 +6,8 @@ programs are machine independent: the one user-specific datum, the program
 state to resume after a checkpoint, travels in the stage control's `resume`
 slot, and scan terminators are the symbolic markers "empty"/"plus" resolved
 against the machine alphabet only at execution time. So they are built once
-per process, at import, into `STAGE_PROGRAMS`, and `compile_machine` hands
-every machine the same frozen program objects instead of building its own.
+per process, at import, into `STAGE_PROGRAMS`, the one program table every
+machine runs; a compiled machine holds only its machine and its controls.
 
 Position-tracking ("synchro") tapes hold the empty symbol everywhere except a
 single "+" recording the master head position as of the last checkpoint;
@@ -256,25 +256,19 @@ def _action(op: MicroOp) -> str:
     return sys.intern(f"micro:{op.render()}")
 
 
-class StageProgram(ReadOnly):
-    """Ordered micro-ops; a program with a `done` stage ends with a Goto
+def _program(*ops: MicroOp, done: int | None = None) -> tuple[MicroOp, ...]:
+    """A stage program's ops; a program with a `done` stage ends with a Goto
     into it, so that every micro_pc a control can hold names an op."""
-
-    __slots__ = ("ops", "done")
-
-    def __init__(self, ops: tuple[MicroOp, ...], done: int | None = None):
-        if done is not None:
-            ops += (Goto(done, ops[-1].action),)
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "done", done)
+    return ops if done is None else ops + (Goto(done, ops[-1].action),)
 
 
 class CompiledMachine(ReadOnly):
-    __slots__ = ("base", "stage_programs", "controls")
+    """A machine and its controls; the stage programs are `STAGE_PROGRAMS`."""
 
-    def __init__(self, base: ValidatedMachine, stage_programs: dict[int, StageProgram]):
+    __slots__ = ("base", "controls")
+
+    def __init__(self, base: ValidatedMachine):
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "stage_programs", stage_programs)
         object.__setattr__(self, "controls", Controls())
 
 
@@ -283,21 +277,21 @@ class CompiledMachine(ReadOnly):
 # backup differ->#3, position equal->user / differ->#5; #7 equal->shutdown /
 # differ->#5. Stages #4 and #6 end by seeking the "+" so the master head is
 # restored before computation continues. Redundant rewinds are kept: every op
-# starts from a known head position. Built once, at import; the programs are
-# frozen and every compiled machine shares them.
-STAGE_PROGRAMS: dict[int, StageProgram] = {
-    2: StageProgram(ops=(
+# starts from a known head position.
+STAGE_PROGRAMS: dict[int, tuple[MicroOp, ...]] = {
+    2: _program(
         MarkPlus(),
         Rewind((MASTER, USER)),
         ScanCompare(MASTER, USER, STOP_EMPTY, on_equal=3, on_diff=5),
-    )),
-    3: StageProgram(ops=(
+    ),
+    3: _program(
         Rewind((MASTER, BACKUP)),
         ScanCopy(MASTER, BACKUP, STOP_EMPTY),
         Rewind((SYNCHRO, BACKUP_SYNCHRO)),
         ScanCopy(SYNCHRO, BACKUP_SYNCHRO, STOP_PLUS),
-    ), done=4),
-    4: StageProgram(ops=(
+        done=4,
+    ),
+    4: _program(
         Rewind((MASTER, BACKUP)),
         ScanCompare(MASTER, BACKUP, STOP_EMPTY, on_equal=NEXT, on_diff=3),
         Rewind((MASTER, SYNCHRO, BACKUP_SYNCHRO)),
@@ -306,14 +300,15 @@ STAGE_PROGRAMS: dict[int, StageProgram] = {
         Rewind((MASTER, SYNCHRO)),
         SeekPlus(),
         EnterUser(),
-    )),
-    5: StageProgram(ops=(
+    ),
+    5: _program(
         Rewind((MASTER, BACKUP)),
         ScanCopy(BACKUP, MASTER, STOP_EMPTY),
         Rewind((SYNCHRO, BACKUP_SYNCHRO)),
         ScanCopy(BACKUP_SYNCHRO, SYNCHRO, STOP_PLUS),
-    ), done=6),
-    6: StageProgram(ops=(
+        done=6,
+    ),
+    6: _program(
         Rewind((MASTER, BACKUP)),
         ScanCompare(MASTER, BACKUP, STOP_EMPTY, on_equal=NEXT, on_diff=3),
         Rewind((MASTER, SYNCHRO, BACKUP_SYNCHRO)),
@@ -321,24 +316,19 @@ STAGE_PROGRAMS: dict[int, StageProgram] = {
         Rewind((MASTER, SYNCHRO)),
         SeekPlus(),
         EnterUser(),
-    )),
-    7: StageProgram(ops=(
+    ),
+    7: _program(
         Rewind((MASTER, USER)),
         ScanCompare(MASTER, USER, STOP_EMPTY, on_equal=NEXT, on_diff=5),
         EnterShutdown(),
-    )),
+    ),
 }
 
 
 def compile_machine(machine: ValidatedMachine) -> CompiledMachine:
-    """Pair a machine with the stage programs.
-
-    The programs are machine independent, so this builds none: the result
-    holds a fresh dict of its own over the shared, frozen `STAGE_PROGRAMS`
-    objects. Assigning into one machine's dict leaves every other machine's
-    as it is. Its `controls` start empty and fill as its runs enter them.
-    """
-    return CompiledMachine(base=machine, stage_programs=dict(STAGE_PROGRAMS))
+    """Pair a machine with an empty control table, which its runs fill; the
+    stage programs are machine independent, so this builds none."""
+    return CompiledMachine(machine)
 
 
 def stage_step(compiled: CompiledMachine, control: StageControl,
@@ -350,7 +340,7 @@ def stage_step(compiled: CompiledMachine, control: StageControl,
     step on which they are observed. A branch into recovery (stage 5) keeps
     the current resume state; the executor replaces it with the committed one.
     """
-    return compiled.stage_programs[control.stage].ops[control.micro_pc].step(
+    return STAGE_PROGRAMS[control.stage][control.micro_pc].step(
         control, tapes, compiled.controls)
 
 
@@ -379,8 +369,8 @@ def emit_pi(compiled: CompiledMachine) -> str:
                         "control", "read", "next", "write", "move"))
     rows = [header]
     rows.extend(_rule_rows(compiled.base))
-    for stage in sorted(compiled.stage_programs):
-        for pc, op in enumerate(compiled.stage_programs[stage].ops):
+    for stage in sorted(STAGE_PROGRAMS):
+        for pc, op in enumerate(STAGE_PROGRAMS[stage]):
             rows.append("\t".join((
                 str(stage), "micro", "passive", "normal", "tracking",
                 f"stage:{stage}/{pc}", "-", op.render(), "-", "-",

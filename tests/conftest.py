@@ -12,6 +12,7 @@ from tmfsim.stages import (
     POSITION_MARKS,
     SYNCHRO,
     TAPE_NAMES,
+    emit_pi,
 )
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -35,6 +36,11 @@ def write_definition(directory, alphabet="empty b\ninput 1\n", rules="q0 b -> qf
     for name, text in files.items():
         (directory / name).write_text(text)
     return str(directory / "meta")
+
+
+def micro_rows(compiled) -> list[str]:
+    """The stage micro-op rows of `compiled`'s `emit_pi` listing."""
+    return [row for row in emit_pi(compiled).splitlines() if row.split("\t")[1] == "micro"]
 
 
 def tapes_equal_to_terminator(a: Tape, b: Tape, stop: str) -> bool:

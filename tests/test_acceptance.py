@@ -20,7 +20,7 @@ from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, oracle_tape, run, run_basic_oracle
 from tmfsim.trace import render_trace
 
-from conftest import InvariantMonitor, master_tape
+from conftest import InvariantMonitor, master_tape, micro_rows
 
 ORACLE_MACHINES = ("unary", "succ", "palin")
 SWEEP_MACHINES = ("unary", "succ")
@@ -154,13 +154,13 @@ def test_criterion_5_checkpoint_invariants(compiled_corpus):
 
 
 def test_criterion_6_stage_machinery_is_machine_independent(compiled_corpus):
-    programs = {name: compiled.stage_programs
-                for name, (compiled, _) in compiled_corpus.items()}
-    reference = programs["unary"]
-    for name, stage_programs in programs.items():
-        assert stage_programs == reference, name
-    print(f"[PASS] criterion 6: stage programs structurally identical across "
-          f"{len(programs)} machines")
+    listings = {name: micro_rows(compiled) for name, (compiled, _) in compiled_corpus.items()}
+    reference = listings["unary"]
+    assert reference
+    for name, rows in listings.items():
+        assert rows == reference, name
+    print(f"[PASS] criterion 6: stage micro-op rows identical across "
+          f"{len(listings)} machines")
 
 
 def test_criterion_7a_undetectable_fault_slips_past_the_check(compiled_corpus):

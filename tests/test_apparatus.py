@@ -29,6 +29,13 @@ stop-plus scan over position tapes that hold no `+` is the one exception:
 it ends equal at the written extent, as `test_stages.TestAllocationExits`
 pins.
 
+The copy contract: a `ScanCopy` started at cell 0 writes the source's cells
+up to and including its first terminator onto the destination, in
+(terminator index) + 1 steps, and changes no other cell and no other head;
+both of its heads end on the terminator. A stop-plus copy from a position
+tape that holds no `+` ends at the written extent instead, as
+`TestAllocationExits` pins too.
+
 Two data symbols stand for any alphabet. The ops compare cells only with
 each other and with `!`, the empty symbol and `+`, so a run depends on
 which cells hold equal symbols, not on which symbols they are, and two data
@@ -61,6 +68,7 @@ from tmfsim.stages import (
     POSITION_MARKS,
     Rewind,
     ScanCompare,
+    ScanCopy,
     STAGE_PROGRAMS,
     STOP_PLUS,
     SYNCHRO,
@@ -160,8 +168,8 @@ POSITION_CONTENTS = [cells for n in range(L + 1)
 def op_sites(kind) -> list:
     """(stage, micro_pc, op) of every op of `kind` in the stage programs."""
     return [pytest.param(stage, pc, op, id=f"{stage}/{pc}")
-            for stage, program in STAGE_PROGRAMS.items()
-            for pc, op in enumerate(program.ops) if isinstance(op, kind)]
+            for stage, ops in STAGE_PROGRAMS.items()
+            for pc, op in enumerate(ops) if isinstance(op, kind)]
 
 
 def tape_choices(index: int) -> list[tuple[str, tuple[str, ...]]]:
@@ -266,3 +274,41 @@ def test_every_compare_reports_equal_exactly_up_to_the_terminator(stage, pc, op)
         assert actions[:-1] == [op.action] * (reads - 1)
         assert actions[-1] == (op.stop_action if equal else op.action)
     assert outcomes >= {True, False}
+
+
+def expected_copy(src: Tape, stops) -> list[str] | None:
+    """The symbols a copy from `src` writes, from cell 0 through its first
+    terminator; None for a source that holds none, which ends the copy at
+    its written extent instead."""
+    written = []
+    for i in range(len(src.cells) + 1):
+        written.append(src.cells[i] if i < len(src.cells) else EMPTY)
+        if written[-1] in stops:
+            return written
+    return None
+
+
+@pytest.mark.parametrize("stage, pc, op", op_sites(ScanCopy))
+def test_every_copy_writes_the_source_through_its_terminator(stage, pc, op):
+    control = COMPILED.controls[stage, pc, "q0"]
+    stops = POSITION_MARKS if op.stop == STOP_PLUS else (EMPTY,)
+    lengths = set()
+    for (zero_src, cells_src), (zero_dst, cells_dst) in itertools.product(
+            tape_choices(op.src), tape_choices(op.dst)):
+        tapes = [Tape(EMPTY, ("0",), 1) for _ in range(5)]
+        tapes[op.src] = build_tape(zero_src, cells_src, 0)
+        tapes[op.dst] = build_tape(zero_dst, cells_dst, 0)
+        written = expected_copy(tapes[op.src], stops)
+        if written is None:
+            assert op.stop == STOP_PLUS
+            continue
+        lengths.add(len(written))
+        expected = [list(tape.cells) for tape in tapes]
+        expected[op.dst][:len(written)] = written
+        after, actions = run_op(control, tapes)
+        assert after == branch(control, NEXT)
+        assert actions == [op.action] * len(written)
+        assert [tape.cells for tape in tapes] == expected
+        assert [tape.head for tape in tapes] == [len(written) - 1 if index in (op.src, op.dst)
+                                                 else 1 for index in range(5)]
+    assert len(lengths) == L + 1

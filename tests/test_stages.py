@@ -21,6 +21,7 @@ from tmfsim.stages import (
     BACKUP_SYNCHRO,
     EnterShutdown,
     EnterUser,
+    Goto,
     MASTER,
     MarkPlus,
     NEXT,
@@ -37,6 +38,8 @@ from tmfsim.stages import (
     emit_pi,
     stage_step,
 )
+
+from conftest import micro_rows
 
 
 def small_machine(checkpoints=(), gamma=()):
@@ -73,45 +76,44 @@ def drive(compiled, stage, tapes, resume="q0", limit=10_000):
 
 class TestCompile:
     def test_exactly_six_stage_programs(self):
-        compiled = compile_machine(small_machine())
-        assert sorted(compiled.stage_programs) == [2, 3, 4, 5, 6, 7]
+        assert sorted(STAGE_PROGRAMS) == [2, 3, 4, 5, 6, 7]
 
     def test_no_checkpoints_still_compiles_summary_stage(self):
         compiled = compile_machine(small_machine())
         assert not any(r.checkpoint for r in compiled.base.delta)
-        assert any(isinstance(op, EnterShutdown) for op in compiled.stage_programs[7].ops)
+        assert any(isinstance(op, EnterShutdown) for op in STAGE_PROGRAMS[7])
 
     def test_branch_wiring(self):
-        programs = compile_machine(small_machine()).stage_programs
-        s2 = programs[2].ops
+        programs = STAGE_PROGRAMS
+        s2 = programs[2]
         assert isinstance(s2[0], MarkPlus)
         compare = [op for op in s2 if isinstance(op, ScanCompare)][0]
         assert (compare.on_equal, compare.on_diff) == (3, 5)
-        assert programs[3].done == 4 and programs[5].done == 6
-        s4 = [op for op in programs[4].ops if isinstance(op, ScanCompare)]
+        for stage, done in ((3, 4), (5, 6)):
+            assert isinstance(programs[stage][-1], Goto) and programs[stage][-1].target == done
+        s4 = [op for op in programs[4] if isinstance(op, ScanCompare)]
         assert [op.on_diff for op in s4] == [3, 3]
-        s6 = [op for op in programs[6].ops if isinstance(op, ScanCompare)]
+        s6 = [op for op in programs[6] if isinstance(op, ScanCompare)]
         assert [op.on_diff for op in s6] == [3, 5]
-        s7 = [op for op in programs[7].ops if isinstance(op, ScanCompare)][0]
+        s7 = [op for op in programs[7] if isinstance(op, ScanCompare)][0]
         assert s7.on_diff == 5
         for stage in (4, 6):
-            ops = programs[stage].ops
+            ops = programs[stage]
             assert isinstance(ops[-2], SeekPlus) and isinstance(ops[-1], EnterUser)
 
     def test_branch_targets_all_resolve(self):
-        programs = compile_machine(small_machine()).stage_programs
-        for stage, program in programs.items():
+        for ops in STAGE_PROGRAMS.values():
             targets = []
-            if program.done is not None:
-                targets.append(program.done)
-            for op in program.ops:
+            for op in ops:
                 if isinstance(op, ScanCompare):
                     targets += [op.on_equal, op.on_diff]
+                elif isinstance(op, Goto):
+                    targets.append(op.target)
             for target in targets:
-                assert target == NEXT or target in programs
+                assert target == NEXT or target in STAGE_PROGRAMS
             # a stage must not run off its end without a continuation
-            if program.done is None:
-                assert isinstance(program.ops[-1], (EnterUser, EnterShutdown, ScanCompare))
+            assert not any(isinstance(op, Goto) for op in ops[:-1])
+            assert isinstance(ops[-1], (Goto, EnterUser, EnterShutdown, ScanCompare))
 
 
 class TestStageStep:
@@ -228,25 +230,32 @@ class TestAllocationExits:
                 return after, actions
         raise AssertionError("op did not finish")
 
-    @pytest.mark.parametrize("stage", [4, 6])
-    def test_plus_compare_without_plus_ends_equal_without_commit(self, stage):
+    @pytest.mark.parametrize("stage, longer", [
+        pytest.param(4, BACKUP_SYNCHRO, id="4"), pytest.param(6, BACKUP_SYNCHRO, id="6"),
+        pytest.param(4, SYNCHRO, id="4-synchro-longer"),
+        pytest.param(6, SYNCHRO, id="6-synchro-longer")])
+    def test_plus_compare_without_plus_ends_equal_without_commit(self, stage, longer):
+        """The scan ends on the step that finds both heads at or past their
+        tape's written extent, whichever of the two tapes is longer."""
         compiled = compile_machine(small_machine())
-        op = compiled.stage_programs[stage].ops[3]
+        op = STAGE_PROGRAMS[stage][3]
         assert isinstance(op, ScanCompare) and op.stop == "plus"
-        tapes = tape_set(synchro=("b", "b"), backup_synchro=("b", "b", "b", "b"))
+        contents = {SYNCHRO: ("b", "b"), BACKUP_SYNCHRO: ("b", "b")}
+        contents[longer] = ("b", "b", "b", "b")
+        tapes = tape_set(synchro=contents[SYNCHRO], backup_synchro=contents[BACKUP_SYNCHRO])
         tapes[SYNCHRO].head = tapes[BACKUP_SYNCHRO].head = 0
         control, actions = self.run_op(compiled, StageControl(stage, 3, "q0"), tapes)
         assert control == StageControl(stage, 4, "q0")   # on_equal: the next op
         assert actions == [f"micro:{op.render()}"] * 6
         assert tapes[SYNCHRO].head == tapes[BACKUP_SYNCHRO].head == 5
-        assert tapes[BACKUP_SYNCHRO].head == len(tapes[BACKUP_SYNCHRO].cells)
+        assert tapes[longer].head == len(tapes[longer].cells)
 
     @pytest.mark.parametrize("stage, src, dst", [
         pytest.param(3, SYNCHRO, BACKUP_SYNCHRO, id="3-synchro-backup_synchro"),
         pytest.param(5, BACKUP_SYNCHRO, SYNCHRO, id="5-backup_synchro-synchro")])
     def test_plus_copy_without_plus_stops_at_the_source_extent(self, stage, src, dst):
         compiled = compile_machine(small_machine())
-        op = compiled.stage_programs[stage].ops[3]
+        op = STAGE_PROGRAMS[stage][3]
         assert op.render() == ScanCopy(src, dst, "plus").render()
         tapes = tape_set(**{TAPE_NAMES[src]: ("b", "b"), TAPE_NAMES[dst]: ("1", "1", "1", "+")})
         tapes[src].head = tapes[dst].head = 0
@@ -291,30 +300,10 @@ class TestEmitPi:
 
 
 def test_stage_programs_are_machine_independent(compiled_corpus):
-    programs = [compiled.stage_programs for compiled, _ in compiled_corpus.values()]
-    for other in programs[1:]:
-        assert other == programs[0]
-
-
-class TestSharedStagePrograms:
-    def test_every_machine_gets_its_own_dict_of_the_shared_programs(self, corpus):
-        machines = [machine for machine, _ in corpus.values()] + [small_machine()] * 2
-        dicts = [compile_machine(machine).stage_programs for machine in machines]
-        for programs in dicts:
-            assert programs == STAGE_PROGRAMS and programs is not STAGE_PROGRAMS
-            assert all(programs[stage] is program for stage, program in STAGE_PROGRAMS.items())
-        assert len({id(programs) for programs in dicts}) == len(dicts)
-
-    def test_assigning_into_one_dict_leaves_the_others(self, corpus):
-        before = dict(STAGE_PROGRAMS)
-        mine = compile_machine(small_machine()).stage_programs
-        theirs = compile_machine(corpus["unary"][0]).stage_programs
-        mine[2] = mine[3]
-        del mine[7]
-        assert mine != before
-        for programs in (theirs, compile_machine(small_machine()).stage_programs,
-                         STAGE_PROGRAMS):
-            assert programs == before and programs[2] is before[2]
+    listings = [micro_rows(compiled) for compiled, _ in compiled_corpus.values()]
+    assert len(listings[0]) == sum(len(ops) for ops in STAGE_PROGRAMS.values())
+    for other in listings[1:]:
+        assert other == listings[0]
 
 
 @pytest.mark.parametrize("cls, text", [
@@ -329,9 +318,10 @@ def test_fieldless_classes_hold_nothing(cls, text):
     assert (instance.text if cls is ShutdownControl else instance.render()) == text
 
 
-def test_only_the_classes_a_step_builds_are_dataclasses():
-    """Generating dataclass methods is paid at every import, so only the
-    controls a step builds are dataclasses; the trace record, also built on
+def test_only_the_controls_are_dataclasses():
+    """Generating dataclass methods is paid at every import, so only the two
+    controls, which compare and hash by their fields, are dataclasses. A
+    compiled machine builds each control once; the trace record, built on
     every step, is a named tuple."""
     modules = [module for name, module in sys.modules.items()
                if name == "tmfsim" or name.startswith("tmfsim.")]
@@ -345,18 +335,17 @@ def shared_objects():
     """One instance of each slotted class a compiled machine is made of."""
     compiled = compile_machine(small_machine())
     machine = compiled.base
-    program = compiled.stage_programs[3]
+    program = STAGE_PROGRAMS[3]
     return [machine.alphabet, machine.delta[0], machine,
             BasicMachine(machine.states, machine.initial, machine.halting, machine.alphabet,
                          machine.delta),
-            program.ops[0], program.ops[1], compiled.stage_programs[2].ops[2],
-            program, compiled]
+            program[0], program[1], STAGE_PROGRAMS[2][2], program[-1], compiled]
 
 
 @pytest.mark.parametrize("obj", shared_objects(), ids=lambda obj: type(obj).__name__)
 def test_shared_objects_are_read_only_slots(obj):
-    """Programs, ops and machines are shared between runs, so none of them
-    takes an assignment, to a field or to a new name."""
+    """Ops and machines are shared between runs, so none of them takes an
+    assignment, to a field or to a new name."""
     assert not hasattr(obj, "__dict__")
     field = type(obj).__slots__[0]
     before = getattr(obj, field)
@@ -371,15 +360,15 @@ def test_shared_objects_are_read_only_slots(obj):
 def test_ops_render_the_same_text_as_ops_with_the_same_fields():
     """Ops compare by identity; their rendered text, which traces and
     `compile` show, is what names them."""
-    ops = STAGE_PROGRAMS[4].ops
+    ops = STAGE_PROGRAMS[4]
     assert [op.render() for op in ops[:2]] == [
         Rewind((MASTER, BACKUP)).render(),
         ScanCompare(MASTER, BACKUP, "empty", on_equal=NEXT, on_diff=3).render()]
     assert ops[0].render() != Rewind((MASTER, SYNCHRO)).render()
     assert ops[1].render() != ScanCompare(MASTER, BACKUP, "empty", on_equal=NEXT,
                                           on_diff=5).render()
-    assert STAGE_PROGRAMS[3].ops[1].render() == ScanCopy(MASTER, BACKUP, "empty").render()
-    assert STAGE_PROGRAMS[3].ops[1].render() != ScanCopy(BACKUP, MASTER, "empty").render()
+    assert STAGE_PROGRAMS[3][1].render() == ScanCopy(MASTER, BACKUP, "empty").render()
+    assert STAGE_PROGRAMS[3][1].render() != ScanCopy(BACKUP, MASTER, "empty").render()
 
 
 content = st.lists(st.sampled_from(["0", "1", "x"]), max_size=64)

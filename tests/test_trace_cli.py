@@ -12,7 +12,7 @@ from tmfsim.cli import main
 from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, run, step
 from tmfsim.model import JamError, ShutdownControl
-from tmfsim.stages import Goto
+from tmfsim.stages import STAGE_PROGRAMS, Goto
 from tmfsim.trace import (
     _KEYS,
     TraceRecord,
@@ -154,18 +154,19 @@ class TestTraceFormat:
             for text in (record.before, record.after, record.action):
                 assert first.setdefault(text, text) is text
 
-    def test_program_actions_are_the_rendered_ops(self, compiled_corpus):
+    def test_program_actions_are_the_rendered_ops(self):
         """Each op's action is `micro:<op>`, except the closing `goto(stage
         N)` of stages 3 and 5, which repeats the action of the op before it."""
-        for compiled, _ in compiled_corpus.values():
-            for program in compiled.stage_programs.values():
-                ops = program.ops
-                for pc, op in enumerate(ops):
-                    if isinstance(op, Goto):
-                        assert pc == len(ops) - 1 and op.target == program.done
-                        assert op.action is ops[pc - 1].action
-                    else:
-                        assert op.action == f"micro:{op.render()}"
+        gotos = {}
+        for stage, ops in STAGE_PROGRAMS.items():
+            for pc, op in enumerate(ops):
+                if isinstance(op, Goto):
+                    assert pc == len(ops) - 1
+                    assert op.action is ops[pc - 1].action
+                    gotos[stage] = op.target
+                else:
+                    assert op.action == f"micro:{op.render()}"
+        assert gotos == {3: 4, 5: 6}
 
     def test_parsed_records_share_equal_values(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
