@@ -41,8 +41,6 @@ from .model import (
 from .stages import CompiledMachine, MASTER, SYNCHRO, USER, stage_step
 from .trace import TraceRecord, digest_tapes
 
-CRITICAL_STAGES = (3, 4, 5, 6)
-
 DEFAULT_MAX_STEPS = 1_000_000
 
 
@@ -213,8 +211,7 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
     if control.__class__ is ShutdownControl:
         raise AlreadyShutDown(f"machine already shut down (step {cfg.step_index})")
     staged = control.__class__ is StageControl
-    choice, masked = decide(cfg.policy, cfg.step_index,
-                            staged and control.stage in CRITICAL_STAGES,
+    choice, masked = decide(cfg.policy, cfg.step_index, control.critical,
                             cfg.allow_failure_in_critical)
     before = control.text
 
@@ -322,7 +319,7 @@ def run(cfg: Configuration, max_steps: int = DEFAULT_MAX_STEPS, monitor=None,
             outcome = "step-limit"
             break
         try:
-            recs = step(cfg, with_digests=with_digests)
+            recs = step(cfg, with_digests)
         except JamError as exc:
             outcome = "jammed"
             jam_reason = f"{type(exc).__name__}: {exc}"

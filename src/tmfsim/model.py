@@ -281,8 +281,9 @@ class Tape:
     scans over uniformly-filled tapes detect exhaustion.
 
     Cells change only through `write()`: `digest` caches the trace digest of
-    `cells` (filled by `trace.digest_tapes`), and `write()` clears it. Code
-    that edits or replaces `cells` directly must reset `digest` to None.
+    `cells` (filled by `trace.digest_tapes`), and a `write()` that changes
+    the cells, by a new symbol or by growing them, clears it. Code that edits
+    or replaces `cells` directly must reset `digest` to None.
     """
 
     __slots__ = ("cells", "head", "empty", "digest")
@@ -301,6 +302,8 @@ class Tape:
     def write(self, symbol: str) -> None:
         if self.head >= len(self.cells):
             self.cells.extend([self.empty] * (self.head + 1 - len(self.cells)))
+        elif self.cells[self.head] == symbol:
+            return
         self.cells[self.head] = symbol
         self.digest = None
 
@@ -339,11 +342,13 @@ class Tape:
 # records cover only the embedded machinery (#2..#7). A control's `text`, its
 # trace form, is rendered once, when it is built; a compiled machine builds
 # each control once (`stages.Controls`), so its runs' records share the text.
+# There a frozen StageControl gets `op`, `exits` and `critical` via `__dict__`.
 
 @dataclass(frozen=True)
 class UserControl:
     state: str
     text: str = field(init=False, repr=False, compare=False)
+    critical = False   # not a field: no user state is a critical stage
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "text", f"user:{self.state}")
@@ -355,6 +360,9 @@ class StageControl:
     micro_pc: int
     resume: str
     text: str = field(init=False, repr=False, compare=False)
+    op: object = field(init=False, repr=False, compare=False)
+    exits: tuple[object, ...] = field(init=False, repr=False, compare=False)
+    critical: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "text", f"stage:{self.stage}/{self.micro_pc}/{self.resume}")

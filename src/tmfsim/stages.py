@@ -7,7 +7,7 @@ state to resume after a checkpoint, travels in the stage control's `resume`
 slot, and scan terminators are the symbolic markers "empty"/"plus" resolved
 against the machine alphabet only at execution time. So they are built once
 per process, at import, into `STAGE_PROGRAMS`, the one program table every
-machine runs; a compiled machine holds only its machine and its controls.
+machine runs; a compiled machine holds its machine and its resolved controls.
 
 Position-tracking ("synchro") tapes hold the empty symbol everywhere except a
 single "+" recording the master head position as of the last checkpoint;
@@ -43,8 +43,11 @@ MASTER, SYNCHRO, BACKUP, BACKUP_SYNCHRO, USER = range(5)
 TAPE_NAMES = ("master", "synchro", "backup", "backup_synchro", "user")
 
 # Branch targets inside stage programs: an int names a stage, NEXT falls
-# through to the following micro-op.
+# through to the following micro-op and RESUME enters the user computation.
 NEXT = "next"
+RESUME = "resume"
+
+CRITICAL_STAGES = (3, 4, 5, 6)   # where failures are masked by default
 
 STOP_EMPTY = "empty"
 STOP_PLUS = "plus"
@@ -63,25 +66,32 @@ Tapes = tuple[Tape, ...]
 
 
 class Controls(dict):
-    """A compiled machine's controls, each built on first use: a StageControl
-    under its (stage, micro_pc, resume), a UserControl under its state."""
+    """A compiled machine's controls, built once: a UserControl under its
+    state and, when a resume state is first used, each of its StageControls
+    under (stage, micro_pc, resume) with its op, exits and critical flag."""
 
     def __missing__(self, key: tuple[int, int, str] | str) -> StageControl | UserControl:
-        control = self[key] = StageControl(*key) if key.__class__ is tuple else UserControl(key)
+        if key.__class__ is not tuple:
+            control = self[key] = UserControl(key)
+            return control
+        resume = key[2]
+        built = {(stage, pc): StageControl(stage, pc, resume)
+                 for stage, ops in STAGE_PROGRAMS.items() for pc in range(len(ops))}
+        control = built[key[:2]]   # a key that names no op changes nothing
+        for (stage, pc), each in built.items():
+            op = STAGE_PROGRAMS[stage][pc]
+            each.__dict__.update(op=op, critical=stage in CRITICAL_STAGES, exits=tuple(
+                self[resume] if target == RESUME else built[stage, pc + 1] if target == NEXT
+                else built[target, 0] for target in getattr(op, "targets", (NEXT,))))
+            self[stage, pc, resume] = each
         return control
 
 
-def _goto(target: int | str, control: StageControl, controls: Controls) -> StageControl:
-    if target == NEXT:
-        return controls[control.stage, control.micro_pc + 1, control.resume]
-    return controls[target, 0, control.resume]
-
-
-# Each op's `step(control, tapes, controls)` runs one cell-granular micro-step
-# and returns (control, action): `control` itself while the op goes on, else
-# its successor from `controls`, and the trace action, `micro:<op>` rendered
-# once when the op is built or "commit". Heads move by direct assignment;
-# cells change only through `Tape.write`, which keeps the digest cache right.
+# Each op's `step(control, tapes)` runs one cell-granular micro-step and
+# returns (control, action): `control` itself while the op goes on, else the
+# exit of `control.exits` that its `targets` (if none, NEXT) name, and the
+# trace action, `micro:<op>` rendered once when the op is built or "commit".
+# Heads move by assignment; cells change only through `Tape.write`.
 
 class Rewind(ReadOnly):
     __slots__ = ("tapes", "action")
@@ -93,7 +103,7 @@ class Rewind(ReadOnly):
     def render(self) -> str:
         return f"rewind({','.join(TAPE_NAMES[index] for index in self.tapes)})"
 
-    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
+    def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
         at_markers = True
         for index in self.tapes:
             tape = tapes[index]
@@ -106,7 +116,7 @@ class Rewind(ReadOnly):
             if head >= len(cells) or cells[head] not in MARKERS:
                 at_markers = False
         if at_markers:
-            return _goto(NEXT, control, controls), self.action
+            return control.exits[0], self.action
         return control, self.action
 
 
@@ -114,7 +124,8 @@ class ScanCompare(ReadOnly):
     """Compare two tapes cell by cell up to their first shared terminator.
     With `commits`, reaching the terminator is the checkpoint's commit."""
 
-    __slots__ = ("tape_a", "tape_b", "stop", "on_equal", "on_diff", "action", "stop_action")
+    __slots__ = ("tape_a", "tape_b", "stop", "on_equal", "on_diff", "targets", "action",
+                 "stop_action")
 
     def __init__(self, tape_a: int, tape_b: int, stop: str, on_equal: int | str,
                  on_diff: int | str, commits: bool = False):
@@ -123,6 +134,7 @@ class ScanCompare(ReadOnly):
         object.__setattr__(self, "stop", stop)
         object.__setattr__(self, "on_equal", on_equal)
         object.__setattr__(self, "on_diff", on_diff)
+        object.__setattr__(self, "targets", (on_equal, on_diff))
         object.__setattr__(self, "action", _action(self))
         object.__setattr__(self, "stop_action", "commit" if commits else self.action)
 
@@ -130,18 +142,18 @@ class ScanCompare(ReadOnly):
         return (f"compare({TAPE_NAMES[self.tape_a]},{TAPE_NAMES[self.tape_b]},"
                 f"stop={self.stop},eq={self.on_equal},diff={self.on_diff})")
 
-    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
+    def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
         a, b = tapes[self.tape_a], tapes[self.tape_b]
         cells_a, head_a, cells_b, head_b = a.cells, a.head, b.cells, b.head
         sym = cells_a[head_a] if head_a < len(cells_a) else a.empty
         if sym != (cells_b[head_b] if head_b < len(cells_b) else b.empty):
-            return _goto(self.on_diff, control, controls), self.action
+            return control.exits[1], self.action
         if sym in POSITION_MARKS if self.stop == STOP_PLUS else sym == a.empty:
-            return _goto(self.on_equal, control, controls), self.stop_action
+            return control.exits[0], self.stop_action
         if head_a >= len(cells_a) and head_b >= len(cells_b):
             # Uniform filler from here on: the scan can never distinguish the
             # tapes again, but no terminator was seen either, so no commit.
-            return _goto(self.on_equal, control, controls), self.action
+            return control.exits[0], self.action
         a.head = head_a + 1
         b.head = head_b + 1
         return control, self.action
@@ -159,14 +171,14 @@ class ScanCopy(ReadOnly):
     def render(self) -> str:
         return f"copy({TAPE_NAMES[self.src]}->{TAPE_NAMES[self.dst]},stop={self.stop})"
 
-    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
+    def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
         src, dst = tapes[self.src], tapes[self.dst]
         cells, head = src.cells, src.head
         sym = cells[head] if head < len(cells) else src.empty
         dst.write(sym)
         if (sym in POSITION_MARKS if self.stop == STOP_PLUS else sym == src.empty) \
                 or head >= len(cells):
-            return _goto(NEXT, control, controls), self.action
+            return control.exits[0], self.action
         src.head = head + 1
         dst.head += 1
         return control, self.action
@@ -180,13 +192,13 @@ class SeekPlus:
     def render(self) -> str:
         return "seek_plus"
 
-    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
+    def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
         synchro = tapes[SYNCHRO]
         cells, head = synchro.cells, synchro.head
         if head >= len(cells):
             raise PlusNotFound(f"no '+' on the position tape (stage {control.stage})")
         if cells[head] in POSITION_MARKS:
-            return _goto(NEXT, control, controls), self.action
+            return control.exits[0], self.action
         tapes[MASTER].head += 1
         synchro.head = head + 1
         return control, self.action
@@ -200,34 +212,35 @@ class MarkPlus:
     def render(self) -> str:
         return "mark_plus"
 
-    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
+    def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
         synchro = tapes[SYNCHRO]
         synchro.write(MARKER_PLUS if synchro.head == 0 else PLUS)
-        return _goto(NEXT, control, controls), self.action
+        return control.exits[0], self.action
 
 
 class EnterUser:
     __slots__ = ()
 
     action = "micro:enter_user"
+    targets = (RESUME,)
 
-    # The state to resume is read from the stage control.
     def render(self) -> str:
         return "enter_user"
 
-    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
-        return controls[control.resume], self.action
+    def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
+        return control.exits[0], self.action
 
 
 class EnterShutdown:
     __slots__ = ()
 
     action = "micro:enter_shutdown"
+    targets = ()
 
     def render(self) -> str:
         return "enter_shutdown"
 
-    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
+    def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
         return ShutdownControl(), self.action
 
 
@@ -235,17 +248,17 @@ class Goto(ReadOnly):
     """The step that enters stage `target` once a program has run out of
     ops. It moves nothing, and its trace action repeats the op before it."""
 
-    __slots__ = ("target", "action")
+    __slots__ = ("targets", "action")
 
     def __init__(self, target: int, action: str):
-        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "targets", (target,))
         object.__setattr__(self, "action", action)
 
     def render(self) -> str:
-        return f"goto(stage {self.target})"
+        return f"goto(stage {self.targets[0]})"
 
-    def step(self, control: StageControl, tapes: Tapes, controls: Controls) -> tuple[Control, str]:
-        return controls[self.target, 0, control.resume], self.action
+    def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
+        return control.exits[0], self.action
 
 
 MicroOp = (Rewind | ScanCompare | ScanCopy | SeekPlus | MarkPlus | EnterUser | EnterShutdown
@@ -333,15 +346,14 @@ def compile_machine(machine: ValidatedMachine) -> CompiledMachine:
 
 def stage_step(compiled: CompiledMachine, control: StageControl,
                tapes: Tapes) -> tuple[Control, str]:
-    """Execute one cell-granular micro-step of the current stage program.
+    """Execute one cell-granular micro-step: `control.op`, resolved once.
 
     Each call moves every head it touches by at most one cell, so one call
     corresponds to one machine step. Branches and completions consume the
     step on which they are observed. A branch into recovery (stage 5) keeps
     the current resume state; the executor replaces it with the committed one.
     """
-    return STAGE_PROGRAMS[control.stage][control.micro_pc].step(
-        control, tapes, compiled.controls)
+    return control.op.step(control, tapes)
 
 
 def _rule_rows(machine: ValidatedMachine) -> list[str]:

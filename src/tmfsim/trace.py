@@ -155,8 +155,8 @@ def tape_digest(cells: list[str]) -> str:
 
 def digest_tapes(tapes) -> tuple[str, str, str, str, str]:
     """The digests of a configuration's five tapes, in its tape order,
-    rehashing only tapes written since their digest was last taken
-    (`Tape.write` clears the cache)."""
+    rehashing only tapes whose cells a `Tape.write` changed since their
+    digest was last taken (such a write clears the cache)."""
     digests = []
     for tape in tapes:
         digest = tape.digest

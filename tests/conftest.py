@@ -1,18 +1,32 @@
 import pathlib
+import random
 from collections import Counter
 
 import pytest
 
 from tmfsim import compile_machine, load_machine
-from tmfsim.model import MARKER, MARKER_PLUS, PLUS, Tape
+from tmfsim.model import (
+    MARKER,
+    MARKER_PLUS,
+    PLUS,
+    Alphabet,
+    BasicMachine,
+    JamError,
+    Rule,
+    StageControl,
+    Tape,
+    UserControl,
+    validate_machine,
+)
 from tmfsim.stages import (
     BACKUP,
     BACKUP_SYNCHRO,
     MASTER,
     POSITION_MARKS,
+    STAGE_PROGRAMS,
     SYNCHRO,
     TAPE_NAMES,
-    emit_pi,
+    stage_step,
 )
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -38,9 +52,84 @@ def write_definition(directory, alphabet="empty b\ninput 1\n", rules="q0 b -> qf
     return str(directory / "meta")
 
 
-def micro_rows(compiled) -> list[str]:
-    """The stage micro-op rows of `compiled`'s `emit_pi` listing."""
-    return [row for row in emit_pi(compiled).splitlines() if row.split("\t")[1] == "micro"]
+def renamed_machine(machine):
+    """A copy of `machine` with every state and every symbol but `!` renamed,
+    its empty symbol too, so that it shares no name with `machine`."""
+    def sym(token):
+        return token if token == MARKER else f"{token}_"
+
+    def rule(r):
+        return Rule(f"{r.from_state}_", sym(r.read), f"{r.to_state}_", sym(r.write), r.move,
+                    r.checkpoint)
+
+    alphabet = machine.alphabet
+    return validate_machine(BasicMachine(
+        tuple(f"{state}_" for state in machine.states), f"{machine.initial}_",
+        f"{machine.halting}_",
+        Alphabet(sym(alphabet.empty), tuple(map(sym, alphabet.input)),
+                 tuple(map(sym, alphabet.internal))),
+        tuple(map(rule, machine.delta)), tuple(map(rule, machine.gamma))))
+
+
+def _where(control, resume: str):
+    """A control named without the machine's names: (stage, micro_pc) for a
+    stage control, "resume" for the user control of `resume`."""
+    if isinstance(control, StageControl):
+        assert control.resume == resume
+        return (control.stage, control.micro_pc)
+    return "resume" if control == UserControl(resume) else control.text
+
+
+def control_graph(compiled, resume: str) -> dict:
+    """(stage, micro_pc) -> (op, exits named as by `_where`) of each stage
+    control `compiled` resolves for `resume`."""
+    return {(stage, pc): (control.op, [_where(exit, resume) for exit in control.exits])
+            for stage, ops in STAGE_PROGRAMS.items() for pc in range(len(ops))
+            for control in (compiled.controls[stage, pc, resume],)}
+
+
+def stage_patterns(count: int, seed: int) -> list:
+    """`count` seeded tape patterns, (cell 0, cells from 1, head) for each of
+    the five tapes, over E (the empty symbol), X and Y (two other symbols)
+    and, on the position tapes, E and `+` under either marker symbol."""
+    rng = random.Random(seed)
+    patterns = []
+    for _ in range(count):
+        tapes = []
+        for index in range(5):
+            position = index in (SYNCHRO, BACKUP_SYNCHRO)
+            cells = tuple(rng.choice(("E", PLUS) if position else ("E", "X", "Y"))
+                          for _ in range(rng.randint(0, 3)))
+            zero = rng.choice((MARKER, MARKER_PLUS)) if position else MARKER
+            tapes.append((zero, cells, rng.randint(0, len(cells) + 1)))
+        patterns.append(tuple(tapes))
+    return patterns
+
+
+def stage_walk(compiled, resume: str, stage: int, pattern, limit: int = 300) -> list:
+    """Drive stage micro-steps from `stage`'s entry over the tapes `pattern`
+    gives, with E, X and Y as `compiled`'s empty and first two other
+    symbols, until control leaves the stage machinery, a jam or `limit`
+    steps. The walk in names every machine shares: each step's action,
+    control (as by `_where`) and heads, then the jam, if any, and the
+    cells in pattern symbols."""
+    alphabet = compiled.base.alphabet
+    names = dict(zip("EXY", (alphabet.empty, *(alphabet.input + alphabet.internal)[:2])))
+    letters = {symbol: letter for letter, symbol in names.items()}
+    tapes = [Tape(alphabet.empty, tuple(names.get(cell, cell) for cell in cells), head)
+             for _, cells, head in pattern]
+    for tape, (zero, _, _) in zip(tapes, pattern):
+        tape.cells[0] = zero
+    control = compiled.controls[stage, 0, resume]
+    walk = []
+    try:
+        while isinstance(control, StageControl) and len(walk) < limit:
+            control, action = stage_step(compiled, control, tapes)
+            walk.append((action, _where(control, resume), tuple(tape.head for tape in tapes)))
+    except JamError as exc:
+        walk.append(type(exc).__name__)
+    walk.append([[letters.get(cell, cell) for cell in tape.cells] for tape in tapes])
+    return walk
 
 
 def tapes_equal_to_terminator(a: Tape, b: Tape, stop: str) -> bool:

@@ -16,11 +16,19 @@ import time
 from collections import Counter
 
 from tmfsim.cli import sweep
+from tmfsim.stages import STAGE_PROGRAMS, compile_machine
 from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, oracle_tape, run, run_basic_oracle
 from tmfsim.trace import render_trace
 
-from conftest import InvariantMonitor, master_tape, micro_rows
+from conftest import (
+    InvariantMonitor,
+    control_graph,
+    master_tape,
+    renamed_machine,
+    stage_patterns,
+    stage_walk,
+)
 
 ORACLE_MACHINES = ("unary", "succ", "palin")
 SWEEP_MACHINES = ("unary", "succ")
@@ -154,13 +162,24 @@ def test_criterion_5_checkpoint_invariants(compiled_corpus):
 
 
 def test_criterion_6_stage_machinery_is_machine_independent(compiled_corpus):
-    listings = {name: micro_rows(compiled) for name, (compiled, _) in compiled_corpus.items()}
-    reference = listings["unary"]
-    assert reference
-    for name, rows in listings.items():
-        assert rows == reference, name
-    print(f"[PASS] criterion 6: stage micro-op rows identical across "
-          f"{len(listings)} machines")
+    """Every corpus machine and a copy of it with every state and symbol
+    renamed, its empty symbol too, resolve each stage control to the op and
+    the exits `unary` does, and walk each stage from its entry over the same
+    tape patterns as `unary` does."""
+    reference, _ = compiled_corpus["unary"]
+    graph = control_graph(reference, reference.base.initial)
+    cases = [(stage, pattern) for stage in STAGE_PROGRAMS
+             for pattern in stage_patterns(30, seed=stage)]
+    walks = [stage_walk(reference, reference.base.initial, *case) for case in cases]
+    machines = [compiled for compiled, _ in compiled_corpus.values()]
+    machines += [compile_machine(renamed_machine(compiled.base)) for compiled in machines]
+    assert len({compiled.base.alphabet.empty for compiled in machines}) == 2
+    for compiled in machines:
+        resume = compiled.base.initial
+        assert control_graph(compiled, resume) == graph   # ops compare by identity
+        assert [stage_walk(compiled, resume, *case) for case in cases] == walks
+    print(f"[PASS] criterion 6: stage controls and walks identical across "
+          f"{len(machines)} machines")
 
 
 def test_criterion_7a_undetectable_fault_slips_past_the_check(compiled_corpus):

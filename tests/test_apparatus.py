@@ -99,7 +99,7 @@ def position_tape(plus: int, head: int) -> Tape:
 def drive(stage: int, tapes) -> int | None:
     """Run stage micro-steps from `stage` until control enters the user
     computation; the commits on the way, or None if it never does."""
-    control = StageControl(stage, 0, "q0")
+    control = COMPILED.controls[stage, 0, "q0"]
     commits = 0
     for _ in range(STAGE_STEPS):
         control, action = stage_step(COMPILED, control, tapes)
@@ -188,8 +188,8 @@ def build_tape(zero: str, cells: tuple[str, ...], head: int) -> Tape:
 
 def branch(control: StageControl, target) -> StageControl:
     if target == NEXT:
-        return StageControl(control.stage, control.micro_pc + 1, control.resume)
-    return StageControl(target, 0, control.resume)
+        return COMPILED.controls[control.stage, control.micro_pc + 1, control.resume]
+    return COMPILED.controls[target, 0, control.resume]
 
 
 def run_op(control: StageControl, tapes) -> tuple[object, list[str]]:

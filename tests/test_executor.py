@@ -472,24 +472,30 @@ class TestStepPath:
 
     def test_python_calls_per_step(self, corpus):
         """Python-level calls per simulated step of a passive `unary` run on
-        six ones, filling a fresh machine's controls on the way: 10.85 when
+        six ones, first filling a fresh machine's controls on the way, then
+        again on the same machine with its controls built: 10.85 fresh when
         each op returned a named tuple and each control change built a
-        control. The count does not depend on timing."""
+        control; 7.62 fresh and 7.46 built when each micro-step looked its op
+        and its successor up; 7.50 fresh and 7.30 built since each control
+        is resolved once to its op, its exits and its critical flag. The
+        count does not depend on timing."""
         machine, _ = corpus["unary"]
-        cfg = init_configuration(compile_machine(machine), ("1",) * 6)
-        calls = 0
+        compiled = compile_machine(machine)
+        for bound in (8.1, 7.40):
+            cfg = init_configuration(compiled, ("1",) * 6)
+            calls = 0
 
-        def profile(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
 
-        sys.setprofile(profile)
-        try:
-            result, _ = run(cfg)
-        finally:
-            sys.setprofile(None)
-        assert result.steps_used == 634
-        assert calls / result.steps_used <= 8.1
+            sys.setprofile(profile)
+            try:
+                result, _ = run(cfg)
+            finally:
+                sys.setprofile(None)
+            assert result.steps_used == 634
+            assert calls / result.steps_used <= bound
 
     @staticmethod
     def controls_entered(compiled, word):

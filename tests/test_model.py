@@ -180,6 +180,19 @@ class TestTape:
         assert second != first
         assert second == tape_digest(tape.cells)
 
+    @pytest.mark.parametrize("head, symbol, kept", [
+        pytest.param(1, "1", True, id="unchanged"),
+        pytest.param(3, "b", False, id="growing-empty"),
+        pytest.param(2, "1", False, id="changing")])
+    def test_only_a_write_that_changes_the_cells_clears_the_digest(self, head, symbol, kept):
+        """A write past the written extent grows the cells, so it clears the
+        digest even when it writes the empty symbol."""
+        tape = Tape("b", ("1", "0"), head=head)
+        first = digest_tapes((tape,) * 5)[0]
+        tape.write(symbol)
+        assert (tape.digest is first) is kept
+        assert digest_tapes((tape,) * 5)[0] == tape_digest(tape.cells)
+
     def test_word_stops_at_first_empty(self):
         tape = Tape("b", ("1", "0", "b", "1"), head=1)
         assert tape.word() == ("1", "0")

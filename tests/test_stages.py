@@ -39,7 +39,7 @@ from tmfsim.stages import (
     stage_step,
 )
 
-from conftest import micro_rows
+from conftest import control_graph, renamed_machine, stage_patterns, stage_walk
 
 
 def small_machine(checkpoints=(), gamma=()):
@@ -62,7 +62,7 @@ def tape_set(empty="b", master=(), synchro=(), backup=(), backup_synchro=(), use
 def drive(compiled, stage, tapes, resume="q0", limit=10_000):
     """Run stage micro-steps until control leaves the stage family; the
     control it left to and the (control, action) pair of every step."""
-    control = StageControl(stage, 0, resume)
+    control = compiled.controls[stage, 0, resume]
     path = []
     for _ in range(limit):
         control, action = stage_step(compiled, control, tapes)
@@ -90,7 +90,7 @@ class TestCompile:
         compare = [op for op in s2 if isinstance(op, ScanCompare)][0]
         assert (compare.on_equal, compare.on_diff) == (3, 5)
         for stage, done in ((3, 4), (5, 6)):
-            assert isinstance(programs[stage][-1], Goto) and programs[stage][-1].target == done
+            assert isinstance(programs[stage][-1], Goto) and programs[stage][-1].targets == (done,)
         s4 = [op for op in programs[4] if isinstance(op, ScanCompare)]
         assert [op.on_diff for op in s4] == [3, 3]
         s6 = [op for op in programs[6] if isinstance(op, ScanCompare)]
@@ -108,7 +108,7 @@ class TestCompile:
                 if isinstance(op, ScanCompare):
                     targets += [op.on_equal, op.on_diff]
                 elif isinstance(op, Goto):
-                    targets.append(op.target)
+                    targets += op.targets
             for target in targets:
                 assert target == NEXT or target in STAGE_PROGRAMS
             # a stage must not run off its end without a continuation
@@ -134,7 +134,7 @@ class TestStageStep:
     def test_copy_then_compare_reports_equal_despite_stale_tail(self):
         compiled = compile_machine(small_machine())
         tapes = tape_set(master=("1", "0", "1"), backup=("0", "0", "0", "0", "0"))
-        control = StageControl(3, 0, "q0")
+        control = compiled.controls[3, 0, "q0"]
         # run just the master->backup rewind+copy (first two ops)
         for _ in range(40):
             control, _ = stage_step(compiled, control, tapes)
@@ -143,7 +143,7 @@ class TestStageStep:
         assert tapes[BACKUP].cells == ["!", "1", "0", "1", "b", "0"]
         # the stale trailing 0 is invisible to the comparison
         tapes[MASTER].head = tapes[BACKUP].head = 3
-        control = StageControl(4, 0, "q0")
+        control = compiled.controls[4, 0, "q0"]
         for _ in range(40):
             control, _ = stage_step(compiled, control, tapes)
             assert isinstance(control, StageControl)
@@ -156,7 +156,7 @@ class TestStageStep:
         tapes = tape_set(master=("1", "1", "1"), synchro=("b", "b", "+"))
         tapes[MASTER].head = 0
         tapes[SYNCHRO].head = 0
-        control = StageControl(4, 5, "q0")  # SeekPlus op
+        control = compiled.controls[4, 5, "q0"]  # SeekPlus op
         for _ in range(10):
             control, _ = stage_step(compiled, control, tapes)
             if not isinstance(control, StageControl) or control.micro_pc != 5:
@@ -171,7 +171,7 @@ class TestStageStep:
         compiled = compile_machine(small_machine())
         tapes = tape_set(master=("1",), user=("1",), backup=("1",), backup_synchro=("+",))
         tapes[MASTER].head = tapes[SYNCHRO].head = tapes[USER].head = 0
-        control = StageControl(2, 0, "q0")
+        control = compiled.controls[2, 0, "q0"]
         actions = []
         for _ in range(100):
             control, action = stage_step(compiled, control, tapes)
@@ -190,7 +190,7 @@ class TestStageStep:
         tapes = tape_set(master=("1", "1"), synchro=("b", "b"))
         tapes[MASTER].head = 0
         tapes[SYNCHRO].head = 0
-        control = StageControl(4, 5, "q0")
+        control = compiled.controls[4, 5, "q0"]
         with pytest.raises(PlusNotFound):
             for _ in range(10):
                 control, _ = stage_step(compiled, control, tapes)
@@ -199,7 +199,7 @@ class TestStageStep:
         compiled = compile_machine(small_machine())
         tapes = tape_set(synchro=("b", "b"))
         tapes[SYNCHRO].head = 2
-        _, action = stage_step(compiled, StageControl(2, 0, "q0"), tapes)
+        _, action = stage_step(compiled, compiled.controls[2, 0, "q0"], tapes)
         assert action == "micro:mark_plus"
         assert tapes[SYNCHRO].cells == ["!", "b", "+"]
 
@@ -244,7 +244,7 @@ class TestAllocationExits:
         contents[longer] = ("b", "b", "b", "b")
         tapes = tape_set(synchro=contents[SYNCHRO], backup_synchro=contents[BACKUP_SYNCHRO])
         tapes[SYNCHRO].head = tapes[BACKUP_SYNCHRO].head = 0
-        control, actions = self.run_op(compiled, StageControl(stage, 3, "q0"), tapes)
+        control, actions = self.run_op(compiled, compiled.controls[stage, 3, "q0"], tapes)
         assert control == StageControl(stage, 4, "q0")   # on_equal: the next op
         assert actions == [f"micro:{op.render()}"] * 6
         assert tapes[SYNCHRO].head == tapes[BACKUP_SYNCHRO].head == 5
@@ -259,7 +259,7 @@ class TestAllocationExits:
         assert op.render() == ScanCopy(src, dst, "plus").render()
         tapes = tape_set(**{TAPE_NAMES[src]: ("b", "b"), TAPE_NAMES[dst]: ("1", "1", "1", "+")})
         tapes[src].head = tapes[dst].head = 0
-        control, actions = self.run_op(compiled, StageControl(stage, 3, "q0"), tapes)
+        control, actions = self.run_op(compiled, compiled.controls[stage, 3, "q0"], tapes)
         assert control == StageControl(stage, 4, "q0")   # NEXT: the stage's end
         assert actions == [f"micro:{op.render()}"] * 4
         assert tapes[src].head == len(tapes[src].cells) == 3
@@ -299,11 +299,21 @@ class TestEmitPi:
         assert "stage:2/0/q0" in row
 
 
-def test_stage_programs_are_machine_independent(compiled_corpus):
-    listings = [micro_rows(compiled) for compiled, _ in compiled_corpus.values()]
-    assert len(listings[0]) == sum(len(ops) for ops in STAGE_PROGRAMS.values())
-    for other in listings[1:]:
-        assert other == listings[0]
+def test_stage_programs_are_machine_independent():
+    """Two machines that share no state and no symbol but `!` resolve each
+    stage control to the same op, with exits to the same places, and drive
+    each stage alike over the same tape patterns."""
+    one = compile_machine(small_machine())
+    other = compile_machine(renamed_machine(one.base))
+    assert other.base.alphabet.empty != one.base.alphabet.empty
+    graph = control_graph(one, "q0")
+    assert len(graph) == sum(len(ops) for ops in STAGE_PROGRAMS.values())
+    for key, (op, exits) in control_graph(other, "q0_").items():
+        assert op is graph[key][0]
+        assert exits == graph[key][1]
+    for stage in STAGE_PROGRAMS:
+        for pattern in stage_patterns(100, seed=stage):
+            assert stage_walk(other, "q0_", stage, pattern) == stage_walk(one, "q0", stage, pattern)
 
 
 @pytest.mark.parametrize("cls, text", [
@@ -316,6 +326,33 @@ def test_fieldless_classes_hold_nothing(cls, text):
     with pytest.raises(AttributeError):
         instance.anything = 1
     assert (instance.text if cls is ShutdownControl else instance.render()) == text
+
+
+def test_a_control_is_resolved_once_and_compares_by_its_key():
+    """A compiled machine builds a resume state's stage controls together,
+    each with its op, its exits and its critical flag; those take no part
+    in comparing, hashing or printing. A key that names no op raises
+    KeyError and builds nothing."""
+    compiled = compile_machine(small_machine())
+    controls = compiled.controls
+    check = controls[2, 2, "q0"]
+    plain = StageControl(2, 2, "q0")
+    assert (check == plain, hash(check), repr(check)) == (True, hash(plain), repr(plain))
+    assert check.op is STAGE_PROGRAMS[2][2] and not check.critical
+    assert check.exits == (controls[3, 0, "q0"], controls[5, 0, "q0"])
+    assert check.exits[0] is controls[3, 0, "q0"]
+    enter = controls[4, 6, "q0"]
+    assert enter.critical and enter.exits == (UserControl("q0"),)
+    assert enter.exits[0] is controls["q0"] and not controls["q0"].critical
+    assert controls[3, 4, "q0"].exits[0] is controls[4, 0, "q0"]   # the closing Goto
+    assert controls[7, 2, "q0"].exits == ()
+    assert len(controls) == sum(len(ops) for ops in STAGE_PROGRAMS.values()) + 1
+    before = dict(controls)
+    for key in ((2, 3, "q0"), (8, 0, "q0"), (2, 3, "qf")):
+        with pytest.raises(KeyError):
+            controls[key]
+    assert len(controls) == len(before)
+    assert all(controls[key] is control for key, control in before.items())
 
 
 def test_only_the_controls_are_dataclasses():
@@ -381,13 +418,13 @@ def test_copy_then_compare_always_equal(src, dst):
         alphabet=Alphabet("b", input=("0", "1"), internal=("x",)),
         delta=(Rule("q0", "b", "qf", "b", "N"),))))
     tapes = tape_set(master=tuple(src), backup=tuple(dst))
-    control = StageControl(3, 0, "q0")
+    control = compiled.controls[3, 0, "q0"]
     for _ in range(4 * (len(src) + len(dst)) + 40):
         control, _ = stage_step(compiled, control, tapes)
         if control.micro_pc >= 2:
             break
     tapes[MASTER].head = tapes[BACKUP].head = 0
-    control = StageControl(4, 1, "q0")  # the master/backup compare
+    control = compiled.controls[4, 1, "q0"]  # the master/backup compare
     for _ in range(4 * (len(src) + len(dst)) + 40):
         control, _ = stage_step(compiled, control, tapes)
         assert isinstance(control, StageControl)
@@ -403,7 +440,7 @@ def test_rewind_is_idempotent(heads):
     tapes[MASTER].head, tapes[USER].head = heads
 
     def rewind_to_completion():
-        control = StageControl(2, 1, "q0")  # the rewind op of the check stage
+        control = compiled.controls[2, 1, "q0"]  # the rewind op of the check stage
         for _ in range(100):
             control, _ = stage_step(compiled, control, tapes)
             if control.micro_pc != 1:

@@ -163,7 +163,7 @@ class TestTraceFormat:
                 if isinstance(op, Goto):
                     assert pc == len(ops) - 1
                     assert op.action is ops[pc - 1].action
-                    gotos[stage] = op.target
+                    gotos[stage] = op.targets[0]
                 else:
                     assert op.action == f"micro:{op.render()}"
         assert gotos == {3: 4, 5: 6}
