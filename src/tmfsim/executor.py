@@ -194,8 +194,8 @@ def _digests(cfg: Configuration) -> tuple[str, str, str, str, str]:
 
 def _record(cfg: Configuration, choice: str, phase: str, stage: int, before: str,
             after: str, action: str, masked: bool, with_digests: bool) -> TraceRecord:
-    return TraceRecord(cfg.step_index, choice, phase, stage, before, after, action,
-                       cfg.heads(), masked, _digests(cfg) if with_digests else None)
+    return TraceRecord((cfg.step_index, choice, phase, stage, before, after, action,
+                        cfg.heads(), masked, _digests(cfg) if with_digests else None))
 
 
 def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
@@ -218,7 +218,7 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
     if staged and choice != AGGRESSIVE:
         # A stage micro-step, nearly every step of a run.
         stage = control.stage
-        after, action = stage_step(cfg.compiled, control, cfg.tapes)
+        after, action = stage_step(control, cfg.tapes)
         after_text = before
         if after is not control:
             # The op ended; while a scan or rewind goes on, none of this can.
@@ -235,9 +235,9 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
                 action = "summary-recover"
             cfg.control = after
             after_text = after.text
-        records = [TraceRecord(cfg.step_index, choice, "program", stage, before, after_text,
-                               action, cfg.heads(), masked,
-                               _digests(cfg) if with_digests else None)]
+        records = [TraceRecord((cfg.step_index, choice, "program", stage, before, after_text,
+                                action, cfg.heads(), masked,
+                                _digests(cfg) if with_digests else None))]
         cfg.step_index += 1
         return records
 

@@ -344,8 +344,7 @@ def compile_machine(machine: ValidatedMachine) -> CompiledMachine:
     return CompiledMachine(machine)
 
 
-def stage_step(compiled: CompiledMachine, control: StageControl,
-               tapes: Tapes) -> tuple[Control, str]:
+def stage_step(control: StageControl, tapes: Tapes) -> tuple[Control, str]:
     """Execute one cell-granular micro-step: `control.op`, resolved once.
 
     Each call moves every head it touches by at most one cell, so one call

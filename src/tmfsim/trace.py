@@ -10,7 +10,8 @@ from __future__ import annotations
 import hashlib
 import re
 from collections.abc import Iterable
-from typing import NamedTuple, TextIO
+from operator import itemgetter
+from typing import TextIO
 
 from .model import COUNT_PATTERN, read_count
 
@@ -22,19 +23,40 @@ _MASKED = "\tmasked=1"
 _DIGESTS = "\tdigests="
 
 
-# A named tuple: the executor builds one per simulated step, and a tuple is
-# built without a `__setattr__` call per field.
-class TraceRecord(NamedTuple):
-    step: int
-    daemon: str
-    phase: str          # program | failure | repair
-    stage: int          # 1 while computing, 2..7 inside a stage
-    before: str         # rendered program control
-    after: str
-    action: str
-    heads: tuple[int, int, int, int, int]   # master, synchro, backup, backup_synchro, user
-    masked: bool = False
-    digests: tuple[str, str, str, str, str] | None = None
+class TraceRecord(tuple):
+    """One step's audit record: a tuple of the ten fields in `_KEYS` order,
+    each also readable by name.
+
+    Built as `TraceRecord((step, daemon, phase, stage, before, after, action,
+    heads, masked, digests))`. The class defines no `__new__`, so tuple's own
+    constructor builds a record in C with no Python frame: the executor
+    builds one per simulated step. That constructor checks no arity; the
+    tests check the length of every record a run or `parse_trace` returns.
+    """
+
+    __slots__ = ()
+    _fields = _KEYS
+
+    step = property(itemgetter(0))      # int
+    daemon = property(itemgetter(1))    # passive | active | aggressive
+    phase = property(itemgetter(2))     # program | failure | repair
+    stage = property(itemgetter(3))     # 1 while computing, 2..7 inside a stage
+    before = property(itemgetter(4))    # rendered program control
+    after = property(itemgetter(5))
+    action = property(itemgetter(6))
+    heads = property(itemgetter(7))     # master, synchro, backup, backup_synchro, user
+    masked = property(itemgetter(8))    # bool
+    digests = property(itemgetter(9))   # five tape digests in tape order, or None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, _KEYS, self))})"
+
+    def _replace(self, /, **changes) -> TraceRecord:
+        """A copy with the named fields changed, as a named tuple's."""
+        record = TraceRecord(map(changes.pop, _KEYS, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record
 
     def render(self) -> str:
         step, daemon, phase, stage, before, after, action, heads, masked, digests = self
@@ -86,12 +108,6 @@ def parse_trace(text: str) -> list[TraceRecord]:
     head_sets: dict[str, tuple[int, ...]] = {}
     digest_sets: dict[str, tuple[str, ...]] = {}
     match_record = _RECORD.fullmatch
-    # Records are built by `tuple.__new__` rather than the generated
-    # `TraceRecord.__new__`, which adds a call and a global lookup per record:
-    # 0.32 against 0.53 us per record (CPython 3.11.7, `timeit`), and 0.81
-    # against 0.86 s per parse of `random-traced`'s traces at seed 1.
-    # `TraceRecord` must therefore not override `__new__` with checks.
-    new = tuple.__new__
     for number, line in enumerate(text.splitlines(), start=1):
         match = match_record(line)
         if match is None:
@@ -121,7 +137,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
             if shared is None:
                 shared = digest_sets[digests] = tuple(digests.split(","))
             digests = shared
-        append(new(TraceRecord, (step, *fields, heads, masked is not None, digests)))
+        append(TraceRecord((step, *fields, heads, masked is not None, digests)))
     return records
 
 

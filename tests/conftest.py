@@ -124,7 +124,7 @@ def stage_walk(compiled, resume: str, stage: int, pattern, limit: int = 300) -> 
     walk = []
     try:
         while isinstance(control, StageControl) and len(walk) < limit:
-            control, action = stage_step(compiled, control, tapes)
+            control, action = stage_step(control, tapes)
             walk.append((action, _where(control, resume), tuple(tape.head for tape in tapes)))
     except JamError as exc:
         walk.append(type(exc).__name__)

@@ -102,7 +102,7 @@ def drive(stage: int, tapes) -> int | None:
     control = COMPILED.controls[stage, 0, "q0"]
     commits = 0
     for _ in range(STAGE_STEPS):
-        control, action = stage_step(COMPILED, control, tapes)
+        control, action = stage_step(control, tapes)
         commits += action == "commit"
         if isinstance(control, UserControl):
             return commits
@@ -198,7 +198,7 @@ def run_op(control: StageControl, tapes) -> tuple[object, list[str]]:
     returns the control it was given, the object itself."""
     actions = []
     for _ in range(STAGE_STEPS):
-        after, action = stage_step(COMPILED, control, tapes)
+        after, action = stage_step(control, tapes)
         actions.append(action)
         if after is not control:
             assert after != control

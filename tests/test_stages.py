@@ -65,7 +65,7 @@ def drive(compiled, stage, tapes, resume="q0", limit=10_000):
     control = compiled.controls[stage, 0, resume]
     path = []
     for _ in range(limit):
-        control, action = stage_step(compiled, control, tapes)
+        control, action = stage_step(control, tapes)
         path.append((control, action))
         if not isinstance(control, StageControl):
             return control, path
@@ -137,7 +137,7 @@ class TestStageStep:
         control = compiled.controls[3, 0, "q0"]
         # run just the master->backup rewind+copy (first two ops)
         for _ in range(40):
-            control, _ = stage_step(compiled, control, tapes)
+            control, _ = stage_step(control, tapes)
             if control.micro_pc >= 2:
                 break
         assert tapes[BACKUP].cells == ["!", "1", "0", "1", "b", "0"]
@@ -145,7 +145,7 @@ class TestStageStep:
         tapes[MASTER].head = tapes[BACKUP].head = 3
         control = compiled.controls[4, 0, "q0"]
         for _ in range(40):
-            control, _ = stage_step(compiled, control, tapes)
+            control, _ = stage_step(control, tapes)
             assert isinstance(control, StageControl)
             if control.micro_pc == 2:  # past the master/backup compare
                 break
@@ -158,7 +158,7 @@ class TestStageStep:
         tapes[SYNCHRO].head = 0
         control = compiled.controls[4, 5, "q0"]  # SeekPlus op
         for _ in range(10):
-            control, _ = stage_step(compiled, control, tapes)
+            control, _ = stage_step(control, tapes)
             if not isinstance(control, StageControl) or control.micro_pc != 5:
                 break
         assert tapes[MASTER].head == 3
@@ -174,7 +174,7 @@ class TestStageStep:
         control = compiled.controls[2, 0, "q0"]
         actions = []
         for _ in range(100):
-            control, action = stage_step(compiled, control, tapes)
+            control, action = stage_step(control, tapes)
             actions.append(action)
             if not isinstance(control, StageControl):
                 break
@@ -193,13 +193,13 @@ class TestStageStep:
         control = compiled.controls[4, 5, "q0"]
         with pytest.raises(PlusNotFound):
             for _ in range(10):
-                control, _ = stage_step(compiled, control, tapes)
+                control, _ = stage_step(control, tapes)
 
     def test_mark_plus_writes_at_current_cell(self):
         compiled = compile_machine(small_machine())
         tapes = tape_set(synchro=("b", "b"))
         tapes[SYNCHRO].head = 2
-        _, action = stage_step(compiled, compiled.controls[2, 0, "q0"], tapes)
+        _, action = stage_step(compiled.controls[2, 0, "q0"], tapes)
         assert action == "micro:mark_plus"
         assert tapes[SYNCHRO].cells == ["!", "b", "+"]
 
@@ -224,7 +224,7 @@ class TestAllocationExits:
         control it left to."""
         actions = []
         for _ in range(limit):
-            after, action = stage_step(compiled, control, tapes)
+            after, action = stage_step(control, tapes)
             actions.append(action)
             if after != control:
                 return after, actions
@@ -359,7 +359,7 @@ def test_only_the_controls_are_dataclasses():
     """Generating dataclass methods is paid at every import, so only the two
     controls, which compare and hash by their fields, are dataclasses. A
     compiled machine builds each control once; the trace record, built on
-    every step, is a named tuple."""
+    every step, is a tuple."""
     modules = [module for name, module in sys.modules.items()
                if name == "tmfsim" or name.startswith("tmfsim.")]
     dataclass_names = {obj.__qualname__ for module in modules for obj in vars(module).values()
@@ -420,13 +420,13 @@ def test_copy_then_compare_always_equal(src, dst):
     tapes = tape_set(master=tuple(src), backup=tuple(dst))
     control = compiled.controls[3, 0, "q0"]
     for _ in range(4 * (len(src) + len(dst)) + 40):
-        control, _ = stage_step(compiled, control, tapes)
+        control, _ = stage_step(control, tapes)
         if control.micro_pc >= 2:
             break
     tapes[MASTER].head = tapes[BACKUP].head = 0
     control = compiled.controls[4, 1, "q0"]  # the master/backup compare
     for _ in range(4 * (len(src) + len(dst)) + 40):
-        control, _ = stage_step(compiled, control, tapes)
+        control, _ = stage_step(control, tapes)
         assert isinstance(control, StageControl)
         if (control.stage, control.micro_pc) != (4, 1):
             break
@@ -442,7 +442,7 @@ def test_rewind_is_idempotent(heads):
     def rewind_to_completion():
         control = compiled.controls[2, 1, "q0"]  # the rewind op of the check stage
         for _ in range(100):
-            control, _ = stage_step(compiled, control, tapes)
+            control, _ = stage_step(control, tapes)
             if control.micro_pc != 1:
                 return
         raise AssertionError("rewind did not finish")

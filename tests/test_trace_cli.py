@@ -1,3 +1,4 @@
+import copy
 import io
 import os
 import pickle
@@ -47,20 +48,17 @@ def field_text(forbidden: str = "") -> st.SearchStrategy[str]:
 
 
 counts = st.integers(min_value=0)
-trace_records = st.builds(
-    TraceRecord, counts, field_text(), field_text(), counts, field_text(), field_text(),
+trace_records = st.builds(TraceRecord, st.tuples(
+    counts, field_text(), field_text(), counts, field_text(), field_text(),
     field_text(), st.tuples(*[counts] * 5), st.booleans(),
-    st.none() | st.tuples(*[field_text(forbidden=",")] * 5))
+    st.none() | st.tuples(*[field_text(forbidden=",")] * 5)))
 
 
 class TestTraceFormat:
     def test_round_trip_single_record(self):
-        record = TraceRecord(
-            step=12, daemon="active", phase="program", stage=1,
-            before="user:q0", after="stage:2/0/q1",
-            action="fault:q0 1 -> q0 0 R",
-            heads=(3, 3, 0, 0, 3), masked=True,
-            digests=("aa", "bb", "cc", "dd", "ee"))
+        record = TraceRecord((
+            12, "active", "program", 1, "user:q0", "stage:2/0/q1", "fault:q0 1 -> q0 0 R",
+            (3, 3, 0, 0, 3), True, ("aa", "bb", "cc", "dd", "ee")))
         assert parse_trace(record.render())[0] == record
 
     def test_round_trip_full_run(self, succ):
@@ -195,9 +193,9 @@ class TestTraceFormat:
     @pytest.mark.parametrize("allow", [False, True], ids=["masked", "unmasked"])
     @pytest.mark.parametrize("name", MACHINE_NAMES)
     def test_parsed_records_behave_as_built_ones(self, compiled_corpus, name, allow, mode):
-        """Records that `parse_trace` builds with `tuple.__new__` are of the
-        executor's type, equal its records, hash and print alike, and copy
-        and pickle as they do."""
+        """Records that `parse_trace` builds are of the executor's type,
+        equal its records, hash and print alike, and copy and pickle as
+        they do."""
         compiled, word = compiled_corpus[name]
         for with_digests in (False, True):
             cfg = init_configuration(compiled, word, RandomPolicy(0.1, 0.05, 3), allow)
@@ -217,22 +215,55 @@ class TestTraceFormat:
                 parsed[0].step = 0
 
     def test_parse_trace_fills_every_field(self):
-        """`parse_trace` fills records by position with `tuple.__new__`: the
-        fields must come in `_KEYS` order, and a check in `__new__` would be
-        skipped, so there is none (a named tuple's body cannot define one,
-        and `TraceRecord` has no other base). Every field is set."""
+        """`parse_trace` fills records by position: the fields must come in
+        `_KEYS` order. Every record is built by tuple's own constructor, so
+        no check can sit in a `__new__` that one builder skips. Every field
+        is set."""
         assert TraceRecord._fields == _KEYS
-        assert TraceRecord.__bases__ == (tuple,)
+        assert TraceRecord.__new__ is tuple.__new__
         for line, masked, digests in ((GOOD_LINE, False, None),
                                       (GOOD_LINE + "\tmasked=1\tdigests=a,b=,c,d,e", True,
                                        ("a", "b=", "c", "d", "e"))):
             record = parse_trace(line)[0]
             assert type(record) is TraceRecord
-            assert TraceRecord(*record) == record
+            assert TraceRecord(tuple(record)) == record
             assert {field: getattr(record, field) for field in TraceRecord._fields} == {
                 "step": 1, "daemon": "passive", "phase": "program", "stage": 1,
                 "before": "user:q0", "after": "user:q0", "action": "normal",
                 "heads": (1, 1, 0, 0, 1), "masked": masked, "digests": digests}
+
+    def test_every_record_has_ten_fields(self, compiled_corpus):
+        """Tuple's constructor, unlike a named tuple's, checks no arity: every
+        record a run returns, and every record `parse_trace` reads back from
+        its trace, holds exactly the ten fields. The runs return every kind
+        of record there is."""
+        kinds = set()
+        for name in MACHINE_NAMES:
+            compiled, word = compiled_corpus[name]
+            for seed in range(5):
+                for allow in (False, True):
+                    cfg = init_configuration(compiled, word, RandomPolicy(0.1, 0.05, seed),
+                                             allow)
+                    _, records = run(cfg, max_steps=5_000, with_digests=bool(seed % 2))
+                    for record in records + parse_trace(render_trace(records)):
+                        assert type(record) is TraceRecord
+                        assert len(record) == len(_KEYS)
+                    kinds.update(map(record_kind, records))
+        assert kinds == {"micro", "normal", "checkpoint-enter", "fault", "summary-recover",
+                         "failure", "stabilize", "restore"}
+
+    def test_records_pickle_and_copy_unchanged(self):
+        records = (TraceRecord((12, "active", "program", 1, "user:q0", "stage:2/0/q1",
+                                "fault:q0 1 -> q0 0 R", (3, 3, 0, 0, 3), True,
+                                ("aa", "bb", "cc", "dd", "ee"))),
+                   parse_trace(GOOD_LINE)[0])
+        for record in records:
+            copies = [pickle.loads(pickle.dumps(record, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for copied in [*copies, copy.copy(record), copy.deepcopy(record)]:
+                assert type(copied) is TraceRecord
+                assert copied == record
+                assert repr(copied) == repr(record)
 
     @pytest.mark.parametrize("allow", [False, True], ids=["masked", "unmasked"])
     @pytest.mark.parametrize("name", MACHINE_NAMES)
@@ -261,6 +292,16 @@ class TestTraceFormat:
         assert any(r.action == "checkpoint-enter" for r in summary)
         assert any(r.action == "commit" for r in summary)
         assert all(not r.action.startswith("micro:rewind") for r in summary)
+
+
+def record_kind(record) -> str:
+    """A stage micro-step, a user step (`normal`, `checkpoint-enter` or
+    `fault`), `summary-recover`, or one of a failure step's three records."""
+    if record.phase == "program" and record.stage == 1:
+        return "fault" if record.action.startswith("fault:") else record.action
+    if record.phase == "program" and record.action != "summary-recover":
+        return "micro"
+    return record.action
 
 
 def parse_outcome(text):

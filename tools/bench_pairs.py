@@ -14,10 +14,15 @@ given twice). For each workload and seed, each pair runs
 once in each checkout, one run at a time, the parent first in odd pairs and
 the change first in even ones. The file holds, for every end-to-end metric
 `BENCHMARK.json` names, each side's per-pair values, median and inclusive
-quartiles, how many pairs the change wins, and the failed and attempted
-runs of each run; then one traced run (`--trace 1`) of each side per
-workload at the first seed, for the per-layer numbers. A run that prints
-no result stops the script with exit status 1.
+quartiles, how many pairs the change wins, whether the change's median is
+`within_bound` (no worse than the parent's by more than the metric's
+`bound`), and the failed and attempted runs of each run; then one traced
+run (`--trace 1`) of each side per workload at the first seed, for the
+per-layer numbers. With `--claim`, `claimed.claim_met` says whether the
+claim holds: on every seed, the held-out one included, the change wins at
+least nine tenths of the pairs (a tie counts for neither side) and its
+median is better than the parent's by more than the parent's IQR. A run
+that prints no result stops the script with exit status 1.
 
 Standard library only; it sits outside `bench/` so that the benchmark's
 own files stay as they are.
@@ -59,23 +64,42 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def compare(runs: dict[str, list[float]], unit: str, better: str) -> dict:
+def compare(runs: dict[str, list[float]], unit: str, better: str, bound: float) -> dict:
     """One metric over the pairs: each side's quartiles, the change's
-    relative gap and wins, and whether the gap exceeds the parent's IQR."""
+    relative gap, its median gap (positive when the change is better) and
+    its wins, whether the gap exceeds the parent's IQR, and
+    whether the change's median is worse than the parent's by at most
+    `bound`, a share of the parent's median."""
     parent, change = quartiles(runs["parent"]), quartiles(runs["change"])
     sign = 1 if better == "higher" else -1
     gaps = [sign * (after - before) for before, after in zip(runs["parent"], runs["change"])]
     parent_iqr = parent["q3"] - parent["q1"]
+    median_gap = sign * (change["median"] - parent["median"])
     return {
-        "unit": unit, "better": better, "parent": parent, "change": change,
+        "unit": unit, "better": better, "bound": bound, "parent": parent, "change": change,
         "change_vs_parent": (change["median"] / parent["median"] - 1
                              if parent["median"] else 0.0),
         "change_better_in": sum(gap > 0 for gap in gaps),
         "ties": sum(gap == 0 for gap in gaps),
         "parent_iqr": parent_iqr,
-        "median_gap_exceeds_parent_iqr": abs(change["median"] - parent["median"]) > parent_iqr,
+        "median_gap": median_gap,
+        "median_gap_exceeds_parent_iqr": abs(median_gap) > parent_iqr,
+        "within_bound": median_gap >= -bound * abs(parent["median"]),
         "runs": runs,
     }
+
+
+def claim_met(series_list: list[dict], workload: str, metric: str) -> dict[int, bool]:
+    """Per seed of `workload`: whether the change wins at least nine tenths
+    of the pairs on `metric`, ties counting for neither side, and its median
+    is better than the parent's by more than the parent's IQR."""
+    met = {}
+    for entry in series_list:
+        if entry["workload"] == workload:
+            compared = entry["metrics"][metric]
+            met[entry["seed"]] = (compared["change_better_in"] >= 0.9 * entry["pairs"]
+                                  and compared["median_gap"] > compared["parent_iqr"])
+    return met
 
 
 def series(checkouts: dict[str, str], workload: str, seed: int, seconds: float,
@@ -99,7 +123,8 @@ def series(checkouts: dict[str, str], workload: str, seed: int, seconds: float,
         "parent_first_in": "odd pairs (1, 3, ...)", "failed": failed, "correct": correct,
         "fingerprints": sorted(fingerprints),
         "metrics": {metric["name"]: compare(values[metric["name"]], metric["unit"],
-                                            metric["better"]) for metric in metrics},
+                                            metric["better"], metric["bound"])
+                    for metric in metrics},
     }
 
 
@@ -144,9 +169,14 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.held_out_seed is not None and args.held_out_seed not in args.seeds:
+        parser.error("--held-out-seed must be one of --seeds")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
         metrics = json.load(handle)["end_to_end"]
+    if args.claim is not None and (args.claim[0] not in args.workloads
+                                   or args.claim[1] not in [m["name"] for m in metrics]):
+        parser.error("--claim needs one of --workloads and an end-to-end metric")
     seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
     out = {
         "what": args.what,
@@ -157,9 +187,7 @@ def main(argv: list[str] | None = None) -> None:
         "environment": {"PYTHONDONTWRITEBYTECODE": "1"},
         "nproc": os.cpu_count(),
         "commits": {side: commit(checkouts[side]) for side in SIDES},
-        "claimed": None if args.claim is None else {
-            "workload": args.claim[0], "metric": args.claim[1], "seeds": args.seeds,
-            "held_out_seed": args.held_out_seed},
+        "claimed": None,
         "series": [series(checkouts, workload, seed, args.seconds, args.pairs, metrics)
                    for workload in args.workloads for seed in args.seeds],
         "per_layer": {
@@ -168,6 +196,12 @@ def main(argv: list[str] | None = None) -> None:
                 for side in SIDES}
             for workload in args.workloads},
     }
+    if args.claim is not None:
+        met = claim_met(out["series"], *args.claim)
+        out["claimed"] = {
+            "workload": args.claim[0], "metric": args.claim[1], "seeds": args.seeds,
+            "held_out_seed": args.held_out_seed, "claim_met": all(met.values()),
+            "claim_met_by_seed": met}
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(out, handle, indent=1)
         handle.write("\n")
