@@ -33,12 +33,18 @@ from .model import (
     JamError,
     MARKER,
     PLUS,
-    ShutdownControl,
-    StageControl,
     Tape,
     ValidatedMachine,
 )
-from .stages import CompiledMachine, MASTER, SYNCHRO, USER, stage_step
+from .stages import (
+    CompiledMachine,
+    MASTER,
+    SYNCHRO,
+    ShutdownControl,
+    StageControl,
+    USER,
+    stage_step,
+)
 from .trace import TraceRecord, digest_tapes
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -192,12 +198,6 @@ def _digests(cfg: Configuration) -> tuple[str, str, str, str, str]:
     return digests
 
 
-def _record(cfg: Configuration, choice: str, phase: str, stage: int, before: str,
-            after: str, action: str, masked: bool, with_digests: bool) -> TraceRecord:
-    return TraceRecord((cfg.step_index, choice, phase, stage, before, after, action,
-                        cfg.heads(), masked, _digests(cfg) if with_digests else None))
-
-
 def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
     """Execute one two-tact step and return its trace records.
 
@@ -235,38 +235,33 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
                 action = "summary-recover"
             cfg.control = after
             after_text = after.text
-        records = [TraceRecord((cfg.step_index, choice, "program", stage, before, after_text,
-                                action, cfg.heads(), masked,
-                                _digests(cfg) if with_digests else None))]
+    elif choice == AGGRESSIVE:
+        # Failure and repair collapse into one step: three records under one
+        # step index, then control restarts in recovery. Entering recovery
+        # touches no tape, so all three records show the failed step's tapes.
+        stage = control.stage if staged else 1
+        cfg.failures_injected += 1
+        cfg.control = _enter_recovery(cfg)
+        records = []
+        for phase, after_text, action in (("failure", before, "failure"),
+                                          ("repair", before, "stabilize"),
+                                          ("repair", cfg.control.text, "restore")):
+            records.append(TraceRecord((cfg.step_index, choice, phase, stage, before,
+                                        after_text, action, cfg.heads(), masked,
+                                        _digests(cfg) if with_digests else None)))
         cfg.step_index += 1
         return records
-
-    machine = cfg.compiled.base
-    stage_label = control.stage if staged else 1
-    if choice == AGGRESSIVE:
-        # Failure and repair collapse into one step: three records under one
-        # step index, then control restarts in recovery.
-        cfg.failures_injected += 1
-        rec_fail = _record(cfg, choice, "failure", stage_label, before, before, "failure",
-                           masked, with_digests)
-        rec_stab = _record(cfg, choice, "repair", stage_label, before, before, "stabilize",
-                           masked, with_digests)
-        cfg.control = _enter_recovery(cfg)
-        rec_restore = _record(cfg, choice, "repair", stage_label, before,
-                              cfg.control.text, "restore", masked, with_digests)
-        records = [rec_fail, rec_stab, rec_restore]
-
     else:
+        stage = 1
+        machine = cfg.compiled.base
         state = control.state
+        action = "normal"
         if state == machine.halting:
             # Computation proper is over; run the summary check.
             cfg.control = cfg.compiled.controls[7, 0, cfg.committed.resume]
-            records = [_record(cfg, choice, "program", 1, before, cfg.control.text,
-                               "normal", masked, with_digests)]
         else:
             master, synchro = cfg.tapes[MASTER], cfg.tapes[SYNCHRO]
             read = master.read()
-            action = "normal"
             rule = None
             if choice == ACTIVE:
                 rule = machine.gamma_map.get((state, read))
@@ -294,9 +289,11 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
                     action = "checkpoint-enter"
             else:
                 cfg.control = cfg.compiled.controls[rule.to_state]
-            records = [_record(cfg, choice, "program", 1, before, cfg.control.text,
-                               action, masked, with_digests)]
+        after_text = cfg.control.text
 
+    records = [TraceRecord((cfg.step_index, choice, "program", stage, before, after_text,
+                            action, cfg.heads(), masked,
+                            _digests(cfg) if with_digests else None))]
     cfg.step_index += 1
     return records
 

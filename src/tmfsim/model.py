@@ -1,5 +1,7 @@
 """Core domain types: tapes, alphabets, rules, machines, and static validation.
 
+The program controls, and the stage programs they run, are in `stages`.
+
 Symbols are plain whitespace-free string tokens. Two tokens are reserved and
 may never be declared in an alphabet: the left marker "!" that occupies cell 0
 of every tape, and the arrow "->" used by the rule syntax. The auxiliary
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 MARKER = "!"
@@ -336,39 +337,3 @@ class Tape:
 
     def __repr__(self) -> str:
         return f"Tape({' '.join(self.cells)} @{self.head})"
-
-
-# Program-control variants. Stage #1 is represented by UserControl; the stage
-# records cover only the embedded machinery (#2..#7). A control's `text`, its
-# trace form, is rendered once, when it is built; a compiled machine builds
-# each control once (`stages.Controls`), so its runs' records share the text.
-# There a frozen StageControl gets `op`, `exits` and `critical` via `__dict__`.
-
-@dataclass(frozen=True)
-class UserControl:
-    state: str
-    text: str = field(init=False, repr=False, compare=False)
-    critical = False   # not a field: no user state is a critical stage
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "text", f"user:{self.state}")
-
-
-@dataclass(frozen=True)
-class StageControl:
-    stage: int
-    micro_pc: int
-    resume: str
-    text: str = field(init=False, repr=False, compare=False)
-    op: object = field(init=False, repr=False, compare=False)
-    exits: tuple[object, ...] = field(init=False, repr=False, compare=False)
-    critical: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "text", f"stage:{self.stage}/{self.micro_pc}/{self.resume}")
-
-
-class ShutdownControl:
-    __slots__ = ()
-
-    text = "shutdown"

@@ -9,6 +9,11 @@ against the machine alphabet only at execution time. So they are built once
 per process, at import, into `STAGE_PROGRAMS`, the one program table every
 machine runs; a compiled machine holds its machine and its resolved controls.
 
+This module is also the one place that builds controls and resolves where
+control goes next: a stage control knows its op and whether its stage is
+critical once built, and `Controls` adds its exits, which form a cycle. No
+op builds a control.
+
 Position-tracking ("synchro") tapes hold the empty symbol everywhere except a
 single "+" recording the master head position as of the last checkpoint;
 when that position is cell 0, the cell holds "!+", the marker and the mark
@@ -22,6 +27,7 @@ before stopping; cells beyond it are stale and invisible to every comparison.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass, field
 
 from .model import (
     BoundaryViolation,
@@ -30,10 +36,7 @@ from .model import (
     MARKER_PLUS,
     PLUS,
     ReadOnly,
-    ShutdownControl,
-    StageControl,
     Tape,
-    UserControl,
     ValidatedMachine,
 )
 
@@ -43,9 +46,11 @@ MASTER, SYNCHRO, BACKUP, BACKUP_SYNCHRO, USER = range(5)
 TAPE_NAMES = ("master", "synchro", "backup", "backup_synchro", "user")
 
 # Branch targets inside stage programs: an int names a stage, NEXT falls
-# through to the following micro-op and RESUME enters the user computation.
+# through to the following micro-op, RESUME enters the user computation and
+# SHUTDOWN ends the run.
 NEXT = "next"
 RESUME = "resume"
+SHUTDOWN = "shutdown"
 
 CRITICAL_STAGES = (3, 4, 5, 6)   # where failures are masked by default
 
@@ -61,14 +66,54 @@ class PlusNotFound(JamError):
     """A position-restoring seek ran out of written tape without finding "+"."""
 
 
+# Program-control variants. Stage #1 is represented by UserControl; the stage
+# controls cover only the embedded machinery (#2..#7). A control's `text`, its
+# trace form, is rendered once, when it is built; a compiled machine builds
+# each control once (`Controls`), so its runs' records share the text.
+
+@dataclass(frozen=True)
+class UserControl:
+    state: str
+    text: str = field(init=False, repr=False, compare=False)
+    critical = False   # not a field: no user state is a critical stage
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "text", f"user:{self.state}")
+
+
+@dataclass(frozen=True)
+class StageControl:
+    stage: int
+    micro_pc: int
+    resume: str
+    text: str = field(init=False, repr=False, compare=False)
+    op: MicroOp = field(init=False, repr=False, compare=False)
+    critical: bool = field(init=False, repr=False, compare=False)
+    exits: tuple[Control, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "text", f"stage:{self.stage}/{self.micro_pc}/{self.resume}")
+        object.__setattr__(self, "op", STAGE_PROGRAMS[self.stage][self.micro_pc])
+        object.__setattr__(self, "critical", self.stage in CRITICAL_STAGES)
+
+
+class ShutdownControl:
+    __slots__ = ()
+
+    text = "shutdown"
+
+
 Control = StageControl | UserControl | ShutdownControl
 Tapes = tuple[Tape, ...]
+
+_SHUTDOWN_CONTROL = ShutdownControl()
 
 
 class Controls(dict):
     """A compiled machine's controls, built once: a UserControl under its
     state and, when a resume state is first used, each of its StageControls
-    under (stage, micro_pc, resume) with its op, exits and critical flag."""
+    under (stage, micro_pc, resume), with the exits its op's `targets` (if
+    none, NEXT) name."""
 
     def __missing__(self, key: tuple[int, int, str] | str) -> StageControl | UserControl:
         if key.__class__ is not tuple:
@@ -78,11 +123,12 @@ class Controls(dict):
         built = {(stage, pc): StageControl(stage, pc, resume)
                  for stage, ops in STAGE_PROGRAMS.items() for pc in range(len(ops))}
         control = built[key[:2]]   # a key that names no op changes nothing
+        named = {RESUME: self[resume], SHUTDOWN: _SHUTDOWN_CONTROL}
         for (stage, pc), each in built.items():
-            op = STAGE_PROGRAMS[stage][pc]
-            each.__dict__.update(op=op, critical=stage in CRITICAL_STAGES, exits=tuple(
-                self[resume] if target == RESUME else built[stage, pc + 1] if target == NEXT
-                else built[target, 0] for target in getattr(op, "targets", (NEXT,))))
+            object.__setattr__(each, "exits", tuple(
+                built[stage, pc + 1] if target == NEXT else named[target] if target in named
+                else built[target, 0]
+                for target in getattr(each.op, "targets", (NEXT,))))
             self[stage, pc, resume] = each
         return control
 
@@ -124,23 +170,21 @@ class ScanCompare(ReadOnly):
     """Compare two tapes cell by cell up to their first shared terminator.
     With `commits`, reaching the terminator is the checkpoint's commit."""
 
-    __slots__ = ("tape_a", "tape_b", "stop", "on_equal", "on_diff", "targets", "action",
-                 "stop_action")
+    __slots__ = ("tape_a", "tape_b", "stop", "targets", "action", "stop_action")
 
     def __init__(self, tape_a: int, tape_b: int, stop: str, on_equal: int | str,
                  on_diff: int | str, commits: bool = False):
         object.__setattr__(self, "tape_a", tape_a)
         object.__setattr__(self, "tape_b", tape_b)
         object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "on_equal", on_equal)
-        object.__setattr__(self, "on_diff", on_diff)
         object.__setattr__(self, "targets", (on_equal, on_diff))
         object.__setattr__(self, "action", _action(self))
         object.__setattr__(self, "stop_action", "commit" if commits else self.action)
 
     def render(self) -> str:
+        on_equal, on_diff = self.targets
         return (f"compare({TAPE_NAMES[self.tape_a]},{TAPE_NAMES[self.tape_b]},"
-                f"stop={self.stop},eq={self.on_equal},diff={self.on_diff})")
+                f"stop={self.stop},eq={on_equal},diff={on_diff})")
 
     def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
         a, b = tapes[self.tape_a], tapes[self.tape_b]
@@ -218,51 +262,27 @@ class MarkPlus:
         return control.exits[0], self.action
 
 
-class EnterUser:
-    __slots__ = ()
-
-    action = "micro:enter_user"
-    targets = (RESUME,)
-
-    def render(self) -> str:
-        return "enter_user"
-
-    def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
-        return control.exits[0], self.action
-
-
-class EnterShutdown:
-    __slots__ = ()
-
-    action = "micro:enter_shutdown"
-    targets = ()
-
-    def render(self) -> str:
-        return "enter_shutdown"
-
-    def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
-        return ShutdownControl(), self.action
-
-
 class Goto(ReadOnly):
-    """The step that enters stage `target` once a program has run out of
-    ops. It moves nothing, and its trace action repeats the op before it."""
+    """The step that jumps to `target`: a stage's entry, the user control
+    (`RESUME`) or shutdown (`SHUTDOWN`). It moves nothing; `name` is how it
+    renders, and its trace action is `micro:<name>` unless `action` is
+    given, as the closing goto of a program repeats the op before it."""
 
-    __slots__ = ("targets", "action")
+    __slots__ = ("targets", "name", "action")
 
-    def __init__(self, target: int, action: str):
+    def __init__(self, target: int | str, name: str, action: str | None = None):
         object.__setattr__(self, "targets", (target,))
-        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "action", _action(self) if action is None else action)
 
     def render(self) -> str:
-        return f"goto(stage {self.targets[0]})"
+        return self.name
 
     def step(self, control: StageControl, tapes: Tapes) -> tuple[Control, str]:
         return control.exits[0], self.action
 
 
-MicroOp = (Rewind | ScanCompare | ScanCopy | SeekPlus | MarkPlus | EnterUser | EnterShutdown
-           | Goto)
+MicroOp = Rewind | ScanCompare | ScanCopy | SeekPlus | MarkPlus | Goto
 
 
 def _action(op: MicroOp) -> str:
@@ -272,7 +292,7 @@ def _action(op: MicroOp) -> str:
 def _program(*ops: MicroOp, done: int | None = None) -> tuple[MicroOp, ...]:
     """A stage program's ops; a program with a `done` stage ends with a Goto
     into it, so that every micro_pc a control can hold names an op."""
-    return ops if done is None else ops + (Goto(done, ops[-1].action),)
+    return ops if done is None else ops + (Goto(done, f"goto(stage {done})", ops[-1].action),)
 
 
 class CompiledMachine(ReadOnly):
@@ -312,7 +332,7 @@ STAGE_PROGRAMS: dict[int, tuple[MicroOp, ...]] = {
                     commits=True),
         Rewind((MASTER, SYNCHRO)),
         SeekPlus(),
-        EnterUser(),
+        Goto(RESUME, "enter_user"),
     ),
     5: _program(
         Rewind((MASTER, BACKUP)),
@@ -328,12 +348,12 @@ STAGE_PROGRAMS: dict[int, tuple[MicroOp, ...]] = {
         ScanCompare(SYNCHRO, BACKUP_SYNCHRO, STOP_PLUS, on_equal=NEXT, on_diff=5),
         Rewind((MASTER, SYNCHRO)),
         SeekPlus(),
-        EnterUser(),
+        Goto(RESUME, "enter_user"),
     ),
     7: _program(
         Rewind((MASTER, USER)),
         ScanCompare(MASTER, USER, STOP_EMPTY, on_equal=NEXT, on_diff=5),
-        EnterShutdown(),
+        Goto(SHUTDOWN, "enter_shutdown"),
     ),
 }
 

@@ -13,9 +13,7 @@ from tmfsim.model import (
     BasicMachine,
     JamError,
     Rule,
-    StageControl,
     Tape,
-    UserControl,
     validate_machine,
 )
 from tmfsim.stages import (
@@ -26,6 +24,8 @@ from tmfsim.stages import (
     STAGE_PROGRAMS,
     SYNCHRO,
     TAPE_NAMES,
+    StageControl,
+    UserControl,
     stage_step,
 )
 

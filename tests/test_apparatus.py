@@ -17,6 +17,11 @@ The contract: stages 3 and 4 commit, and after stages 5 and 6 the master
 cells, trimmed of trailing blanks, and the master head equal the committed
 ones.
 
+The marker contract: after every micro-step, cell 0 of every tape holds `!`
+or `!+`. It is checked on every step of those runs, and of runs from the
+entries of stages 2 and 7 over the same cases, with the committed content
+on the user tape: the checks that compare the master with the reference.
+
 The rewind contract: every `Rewind` ends with each head it lists at cell 0
 after max(1, the highest of those heads) steps, and moves no other head and
 changes no cell, so cell 0 keeps its `!` or `!+`.
@@ -50,19 +55,19 @@ import itertools
 import pytest
 
 from tmfsim.model import (
+    BoundaryViolation,
     MARKER,
     MARKER_PLUS,
     PLUS,
     Alphabet,
     BasicMachine,
     Rule,
-    StageControl,
     Tape,
-    UserControl,
     validate_machine,
 )
 from tmfsim.stages import (
     BACKUP_SYNCHRO,
+    MARKERS,
     MASTER,
     NEXT,
     POSITION_MARKS,
@@ -72,6 +77,10 @@ from tmfsim.stages import (
     STAGE_PROGRAMS,
     STOP_PLUS,
     SYNCHRO,
+    USER,
+    ShutdownControl,
+    StageControl,
+    UserControl,
     compile_machine,
     stage_step,
 )
@@ -96,34 +105,44 @@ def position_tape(plus: int, head: int) -> Tape:
     return Tape(EMPTY, (EMPTY,) * (plus - 1) + (PLUS,), head)
 
 
-def drive(stage: int, tapes) -> int | None:
-    """Run stage micro-steps from `stage` until control enters the user
-    computation; the commits on the way, or None if it never does."""
+def drive(stage: int, tapes) -> tuple[object, int]:
+    """Run stage micro-steps from `stage` until control leaves the stages or
+    `STAGE_STEPS` run out, checking the marker contract after each step;
+    the control it ends at and the commits on the way."""
     control = COMPILED.controls[stage, 0, "q0"]
     commits = 0
     for _ in range(STAGE_STEPS):
         control, action = stage_step(control, tapes)
+        assert all(tape.cells[0] in MARKERS for tape in tapes), (stage, control, tapes)
         commits += action == "commit"
-        if isinstance(control, UserControl):
-            return commits
-    return None
+        if not isinstance(control, StageControl):
+            break
+    return control, commits
 
 
-def restore_case(committed, head, stale, failed, erased) -> tuple[int | None, bool]:
-    """(commits on the way to the user computation, whether the restore
-    rebuilt the committed master) for one case."""
+def failed_case(committed, head, stale, failed, erased) -> tuple[int | None, list[Tape]]:
+    """(commits on the way to the user computation, the tapes) once stages 3
+    and 4 have backed up the committed master and the failure has replaced
+    it, for one case."""
     stale_cells, stale_plus = stale
     tapes = [Tape(EMPTY, committed, head),           # MASTER
              position_tape(head, head),              # SYNCHRO
              Tape(EMPTY, stale_cells, 0),            # BACKUP
              position_tape(stale_plus, 0),           # BACKUP_SYNCHRO
              Tape(EMPTY)]                            # USER
-    commits = drive(3, tapes)
+    control, commits = drive(3, tapes)
     tapes[MASTER] = Tape(EMPTY, failed, head)
     if erased:
         tapes[SYNCHRO].head = head
         tapes[SYNCHRO].write(EMPTY)
-    restored = (drive(5, tapes) is not None
+    return (commits if isinstance(control, UserControl) else None), tapes
+
+
+def restore_case(committed, head, stale, failed, erased) -> tuple[int | None, bool]:
+    """(commits on the way to the user computation, whether the restore
+    rebuilt the committed master) for one case."""
+    commits, tapes = failed_case(committed, head, stale, failed, erased)
+    restored = (isinstance(drive(5, tapes)[0], UserControl)
                 and trimmed(tapes[MASTER].cells[1:], EMPTY) == trimmed(committed, EMPTY)
                 and tapes[MASTER].head == head)
     return commits, restored
@@ -151,6 +170,25 @@ def test_backup_commits_every_master_once(cases):
 def test_every_restore_violation_is_an_item_15_class(cases):
     assert all(item_15_class(committed, failed)
                for committed, _, failed, _, restored in cases if not restored)
+
+
+@pytest.mark.parametrize("stage", [2, 7])
+def test_the_master_checks_keep_every_marker(stage):
+    """Stage 2 and stage 7 from their entries over every case, with the
+    committed content on the user tape: `drive` checks the marker contract
+    on every step. Where each run ends, and with how many commits, shows
+    both branches of the stage's compare taken."""
+    ends = set()
+    for committed, head, stale, failed, erased in itertools.product(
+            CONTENTS, HEADS, STALE, CONTENTS, (False, True)):
+        _, tapes = failed_case(committed, head, stale, failed, erased)
+        tapes[USER] = Tape(EMPTY, committed, head)
+        control, commits = drive(stage, tapes)
+        ends.add((control.__class__, commits))
+    # Stage 2 commits through stages 3 and 4 on its equal branch; stage 7
+    # shuts down on its own, and enters recovery on its diff branch.
+    assert ends == ({(UserControl, 1), (UserControl, 0)} if stage == 2
+                    else {(ShutdownControl, 0), (UserControl, 0)})
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -234,6 +272,24 @@ def test_every_rewind_ends_at_cell_0_and_changes_no_cell(stage, pc, op):
                                                  for index in range(5)]
 
 
+@pytest.mark.parametrize("stage, pc, op", op_sites(Rewind))
+def test_a_rewind_over_a_lost_marker_leaves_cell_0(stage, pc, op):
+    """A rewind stops only on `!` or `!+`: a listed tape whose cell 0 lost
+    its marker takes the head to cell 0 and then raises BoundaryViolation
+    rather than move it further left."""
+    control = COMPILED.controls[stage, pc, "q0"]
+    tapes = [Tape(EMPTY, ("0",), 1) for _ in range(5)]
+    lost = tapes[op.tapes[0]]
+    lost.cells[0] = EMPTY
+    after, _ = stage_step(control, tapes)
+    assert after is control
+    assert [tape.head for tape in tapes] == [0 if index in op.tapes else 1
+                                             for index in range(5)]
+    with pytest.raises(BoundaryViolation):
+        stage_step(control, tapes)
+    assert lost.head == 0 and lost.cells == [EMPTY, "0"]
+
+
 def expected_compare(a: Tape, b: Tape, stops) -> tuple[bool | None, int]:
     """(whether the tapes agree up to their first shared terminator, the
     cells read to see it); None for a scan that meets no terminator."""
@@ -269,7 +325,8 @@ def test_every_compare_reports_equal_exactly_up_to_the_terminator(stage, pc, op)
             assert not any(cell in POSITION_MARKS for cell in (*tapes[op.tape_a].cells,
                                                                 *tapes[op.tape_b].cells))
             continue
-        assert after == branch(control, op.on_equal if equal else op.on_diff)
+        on_equal, on_diff = op.targets
+        assert after == branch(control, on_equal if equal else on_diff)
         assert len(actions) == reads
         assert actions[:-1] == [op.action] * (reads - 1)
         assert actions[-1] == (op.stop_action if equal else op.action)

@@ -1,8 +1,10 @@
 """The verdicts `tools/bench_pairs.py` writes, on hand-made pairs: whether
-each metric stays within its bound, and whether a claimed gain is met."""
+each metric stays within its bound, and whether a claimed gain is met; and
+how it names a checkout."""
 
 import importlib.util
 import pathlib
+import re
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -57,3 +59,25 @@ def test_claim_needs_a_median_gap_past_the_parents_iqr_the_right_way():
     assert bench_pairs.claim_met([entry(11, parent, [value / 2 for value in parent],
                                         better="lower")],
                                  "sweep", "steps_per_s") == {11: True}
+
+
+def test_a_plain_copy_is_named_by_its_source_files(tmp_path):
+    """A checkout that is not a git work tree is named by a hash of its
+    `src/` files: files outside `src/` and bytecode leave it as it is, and
+    a changed byte or a renamed file changes it."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    (tmp_path / "README.md").write_text("outside src\n")
+    name = bench_pairs.commit(str(tmp_path))
+    assert re.fullmatch("tree:[0-9a-f]{12}", name)
+    (tmp_path / "README.md").write_text("changed\n")
+    (package / "__pycache__").mkdir()
+    (package / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
+    assert bench_pairs.commit(str(tmp_path)) == name
+    (package / "a.py").write_text("x = 2\n")
+    assert bench_pairs.commit(str(tmp_path)) != name
+    (package / "a.py").write_text("x = 1\n")
+    assert bench_pairs.commit(str(tmp_path)) == name
+    (package / "a.py").rename(package / "b.py")
+    assert bench_pairs.commit(str(tmp_path)) != name

@@ -10,30 +10,30 @@ from tmfsim.model import (
     Alphabet,
     BasicMachine,
     Rule,
-    ShutdownControl,
-    StageControl,
     Tape,
-    UserControl,
     validate_machine,
 )
 from tmfsim.stages import (
     BACKUP,
     BACKUP_SYNCHRO,
-    EnterShutdown,
-    EnterUser,
     Goto,
     MASTER,
     MarkPlus,
     NEXT,
     PlusNotFound,
+    RESUME,
     Rewind,
+    SHUTDOWN,
     ScanCompare,
     ScanCopy,
     STAGE_PROGRAMS,
     SeekPlus,
+    ShutdownControl,
+    StageControl,
     SYNCHRO,
     TAPE_NAMES,
     USER,
+    UserControl,
     compile_machine,
     emit_pi,
     stage_step,
@@ -81,39 +81,46 @@ class TestCompile:
     def test_no_checkpoints_still_compiles_summary_stage(self):
         compiled = compile_machine(small_machine())
         assert not any(r.checkpoint for r in compiled.base.delta)
-        assert any(isinstance(op, EnterShutdown) for op in STAGE_PROGRAMS[7])
+        assert any(isinstance(op, Goto) and op.targets == (SHUTDOWN,)
+                   for op in STAGE_PROGRAMS[7])
 
     def test_branch_wiring(self):
         programs = STAGE_PROGRAMS
         s2 = programs[2]
         assert isinstance(s2[0], MarkPlus)
         compare = [op for op in s2 if isinstance(op, ScanCompare)][0]
-        assert (compare.on_equal, compare.on_diff) == (3, 5)
+        assert compare.targets == (3, 5)
         for stage, done in ((3, 4), (5, 6)):
             assert isinstance(programs[stage][-1], Goto) and programs[stage][-1].targets == (done,)
         s4 = [op for op in programs[4] if isinstance(op, ScanCompare)]
-        assert [op.on_diff for op in s4] == [3, 3]
+        assert [op.targets[1] for op in s4] == [3, 3]
         s6 = [op for op in programs[6] if isinstance(op, ScanCompare)]
-        assert [op.on_diff for op in s6] == [3, 5]
+        assert [op.targets[1] for op in s6] == [3, 5]
         s7 = [op for op in programs[7] if isinstance(op, ScanCompare)][0]
-        assert s7.on_diff == 5
+        assert s7.targets[1] == 5
         for stage in (4, 6):
             ops = programs[stage]
-            assert isinstance(ops[-2], SeekPlus) and isinstance(ops[-1], EnterUser)
+            assert isinstance(ops[-2], SeekPlus) and isinstance(ops[-1], Goto)
+            assert ops[-1].targets == (RESUME,)
 
     def test_branch_targets_all_resolve(self):
-        for ops in STAGE_PROGRAMS.values():
-            targets = []
+        """A compare or a goto branches to the next op or a stage entry;
+        only a program's last op may leave the stages, to the user control
+        (stages 4 and 6) or to shutdown (stage 7)."""
+        leaving = {}
+        for stage, ops in STAGE_PROGRAMS.items():
             for op in ops:
-                if isinstance(op, ScanCompare):
-                    targets += [op.on_equal, op.on_diff]
-                elif isinstance(op, Goto):
-                    targets += op.targets
-            for target in targets:
-                assert target == NEXT or target in STAGE_PROGRAMS
+                if isinstance(op, (ScanCompare, Goto)):
+                    for target in op.targets:
+                        if target in (RESUME, SHUTDOWN):
+                            assert op is ops[-1]
+                            leaving[stage] = target
+                        else:
+                            assert target == NEXT or target in STAGE_PROGRAMS
             # a stage must not run off its end without a continuation
             assert not any(isinstance(op, Goto) for op in ops[:-1])
-            assert isinstance(ops[-1], (Goto, EnterUser, EnterShutdown, ScanCompare))
+            assert isinstance(ops[-1], (Goto, ScanCompare))
+        assert leaving == {4: RESUME, 6: RESUME, 7: SHUTDOWN}
 
 
 class TestStageStep:
@@ -317,8 +324,7 @@ def test_stage_programs_are_machine_independent():
 
 
 @pytest.mark.parametrize("cls, text", [
-    (SeekPlus, "seek_plus"), (MarkPlus, "mark_plus"), (EnterUser, "enter_user"),
-    (EnterShutdown, "enter_shutdown"), (ShutdownControl, "shutdown")])
+    (SeekPlus, "seek_plus"), (MarkPlus, "mark_plus"), (ShutdownControl, "shutdown")])
 def test_fieldless_classes_hold_nothing(cls, text):
     """Ops render their text; a control holds it as `text`."""
     instance = cls()
@@ -328,16 +334,34 @@ def test_fieldless_classes_hold_nothing(cls, text):
     assert (instance.text if cls is ShutdownControl else instance.render()) == text
 
 
+@pytest.mark.parametrize("stage, text, target", [
+    pytest.param(4, "enter_user", RESUME, id="enter_user"),
+    pytest.param(7, "enter_shutdown", SHUTDOWN, id="enter_shutdown")])
+def test_jump_ops_hold_only_their_target_and_text(stage, text, target):
+    """The ops that leave the stages are gotos: each holds its one target,
+    renders its name and traces `micro:<name>`, and takes no assignment."""
+    op = STAGE_PROGRAMS[stage][-1]
+    assert isinstance(op, Goto) and op.targets == (target,)
+    assert op.render() == text and op.action == f"micro:{text}"
+    assert not hasattr(op, "__dict__")
+    with pytest.raises(AttributeError):
+        op.anything = 1
+    with pytest.raises(AttributeError):
+        op.targets = (NEXT,)
+
+
 def test_a_control_is_resolved_once_and_compares_by_its_key():
-    """A compiled machine builds a resume state's stage controls together,
-    each with its op, its exits and its critical flag; those take no part
-    in comparing, hashing or printing. A key that names no op raises
-    KeyError and builds nothing."""
+    """A stage control knows its op and its critical flag when it is built,
+    and a compiled machine builds a resume state's stage controls together
+    and gives each its exits; those take no part in comparing, hashing or
+    printing. Every machine's shutdown exit is the one shared control. A key
+    that names no op raises KeyError and builds nothing."""
     compiled = compile_machine(small_machine())
     controls = compiled.controls
     check = controls[2, 2, "q0"]
     plain = StageControl(2, 2, "q0")
     assert (check == plain, hash(check), repr(check)) == (True, hash(plain), repr(plain))
+    assert plain.op is check.op and plain.critical == check.critical
     assert check.op is STAGE_PROGRAMS[2][2] and not check.critical
     assert check.exits == (controls[3, 0, "q0"], controls[5, 0, "q0"])
     assert check.exits[0] is controls[3, 0, "q0"]
@@ -345,7 +369,9 @@ def test_a_control_is_resolved_once_and_compares_by_its_key():
     assert enter.critical and enter.exits == (UserControl("q0"),)
     assert enter.exits[0] is controls["q0"] and not controls["q0"].critical
     assert controls[3, 4, "q0"].exits[0] is controls[4, 0, "q0"]   # the closing Goto
-    assert controls[7, 2, "q0"].exits == ()
+    shutdown = controls[7, 2, "q0"].exits
+    assert len(shutdown) == 1 and shutdown[0].__class__ is ShutdownControl
+    assert compile_machine(small_machine()).controls[7, 2, "qf"].exits[0] is shutdown[0]
     assert len(controls) == sum(len(ops) for ops in STAGE_PROGRAMS.values()) + 1
     before = dict(controls)
     for key in ((2, 3, "q0"), (8, 0, "q0"), (2, 3, "qf")):

@@ -18,7 +18,9 @@ quartiles, how many pairs the change wins, whether the change's median is
 `within_bound` (no worse than the parent's by more than the metric's
 `bound`), and the failed and attempted runs of each run; then one traced
 run (`--trace 1`) of each side per workload at the first seed, for the
-per-layer numbers. With `--claim`, `claimed.claim_met` says whether the
+per-layer numbers. `commits` names each side's checkout: its git commit, or,
+for a plain copy that is not a git work tree, a `tree:` hash of its `src/`
+files. With `--claim`, `claimed.claim_met` says whether the
 claim holds: on every seed, the held-out one included, the change wins at
 least nine tenths of the pairs (a tie counts for neither side) and its
 median is better than the parent's by more than the parent's IQR. A run
@@ -31,6 +33,7 @@ own files stay as they are.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -140,15 +143,34 @@ def per_layer(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def commit(checkout: str) -> str | None:
+def tree(checkout: str) -> str:
+    """`tree:` and the first 12 hex digits of a sha256 over the sorted
+    relative paths and the bytes of the files under `checkout`'s `src/`,
+    leaving out `__pycache__` and `*.egg-info` directories."""
+    paths = []
+    for directory, subdirectories, files in os.walk(os.path.join(checkout, "src")):
+        subdirectories[:] = [name for name in subdirectories
+                             if name != "__pycache__" and not name.endswith(".egg-info")]
+        paths += [os.path.relpath(os.path.join(directory, name), checkout) for name in files]
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        with open(os.path.join(checkout, path), "rb") as handle:
+            data = handle.read()
+        digest.update(f"{path}\0{len(data)}\0".encode())
+        digest.update(data)
+    return f"tree:{digest.hexdigest()[:12]}"
+
+
+def commit(checkout: str) -> str:
     """The commit `checkout` has checked out, marked when its tracked files
-    differ from it; None when it is not a git checkout."""
+    differ from it; its `tree` when it is not a git work tree, such as a
+    plain copy."""
     def git(*args: str) -> str:
         return subprocess.run(["git", "-C", checkout, *args], stdout=subprocess.PIPE,
                               stderr=subprocess.DEVNULL, text=True, check=False).stdout.strip()
     head = git("rev-parse", "HEAD")
     if not head or git("rev-parse", "--show-toplevel") != os.path.realpath(checkout):
-        return None
+        return tree(checkout)
     return head + (" with uncommitted changes" if git("status", "--porcelain",
                                                       "--untracked-files=no") else "")
 
