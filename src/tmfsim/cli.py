@@ -196,8 +196,10 @@ def _stdout_error(exc: OSError) -> DefinitionError:
     exit does not fail on it again."""
     with suppress(OSError, ValueError):
         null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
     return DefinitionError(f"cannot write standard output: {exc.strerror or exc}")
 
 

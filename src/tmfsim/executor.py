@@ -22,7 +22,6 @@ defined from step 0, whatever the daemon does.
 
 from __future__ import annotations
 
-import sys
 from typing import NamedTuple
 
 from .daemon import DaemonPolicy, ScriptPolicy, decide
@@ -86,7 +85,9 @@ class RunResult(NamedTuple):
 
 
 class Configuration:
-    """Full instantaneous description of a run. Owned by exactly one run."""
+    """Full instantaneous description of a run. Owned by exactly one run.
+
+    `init_configuration` builds one and fills every slot."""
 
     __slots__ = (
         "compiled", "policy", "allow_failure_in_critical", "tapes", "control",
@@ -94,29 +95,6 @@ class Configuration:
         "committed", "step_index", "last_digests",
         "faults_injected", "failures_injected", "recoveries", "checkpoints_committed",
     )
-
-    def __init__(self, compiled: CompiledMachine, policy: DaemonPolicy,
-                 allow_failure_in_critical: bool, tapes: tuple[Tape, ...], control,
-                 committed: Snapshot):
-        self.compiled = compiled
-        self.policy = policy
-        self.allow_failure_in_critical = allow_failure_in_critical
-        self.tapes = tapes
-        self.control = control
-        self.ideal_state = compiled.base.initial
-        self.ideal_head = 1
-        self.ideal_halted = compiled.base.initial == compiled.base.halting
-        self.ideal_steps = 0
-        self.replay_debt = 0
-        self.committed = committed
-        self.step_index = 0
-        # The digests of the last record taken with them: records share one
-        # tuple while no tape changes.
-        self.last_digests: tuple[str, str, str, str, str] | None = None
-        self.faults_injected = 0
-        self.failures_injected = 0
-        self.recoveries = 0
-        self.checkpoints_committed = 0
 
     def heads(self) -> tuple[int, int, int, int, int]:
         master, synchro, backup, backup_synchro, user = self.tapes
@@ -142,23 +120,33 @@ def init_configuration(compiled: CompiledMachine, word: tuple[str, ...],
         if sym not in machine.alphabet.input:
             raise ValueError(f"input word symbol {sym!r} not in the input alphabet")
     empty = machine.alphabet.empty
-    tapes = (
+    cfg = Configuration()
+    cfg.compiled = compiled
+    cfg.policy = policy if policy is not None else ScriptPolicy({})
+    cfg.allow_failure_in_critical = allow_failure_in_critical
+    cfg.tapes = (
         Tape(empty, word, head=1),       # MASTER
         Tape(empty, (PLUS,), head=1),    # SYNCHRO
         Tape(empty, word, head=0),       # BACKUP
         Tape(empty, (PLUS,), head=0),    # BACKUP_SYNCHRO
         Tape(empty, word, head=1),       # USER
     )
-    control = compiled.controls[3, 0, machine.initial]
-    committed = Snapshot(resume=machine.initial, ideal_steps=0)
-    return Configuration(
-        compiled=compiled,
-        policy=policy if policy is not None else ScriptPolicy({}),
-        allow_failure_in_critical=allow_failure_in_critical,
-        tapes=tapes,
-        control=control,
-        committed=committed,
-    )
+    cfg.control = compiled.controls[3, 0, machine.initial]
+    cfg.ideal_state = machine.initial
+    cfg.ideal_head = 1
+    cfg.ideal_halted = machine.initial == machine.halting
+    cfg.ideal_steps = 0
+    cfg.replay_debt = 0
+    cfg.committed = Snapshot(resume=machine.initial, ideal_steps=0)
+    cfg.step_index = 0
+    # The digests of the last record taken with them: records share one
+    # tuple while no tape changes.
+    cfg.last_digests = None
+    cfg.faults_injected = 0
+    cfg.failures_injected = 0
+    cfg.recoveries = 0
+    cfg.checkpoints_committed = 0
+    return cfg
 
 
 def _advance_ideal(cfg: Configuration) -> None:
@@ -267,7 +255,7 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
                 rule = machine.gamma_map.get((state, read))
                 if rule is not None:
                     cfg.faults_injected += 1
-                    action = sys.intern(f"fault:{rule.render()}")
+                    action = f"fault:{rule.render()}"
             if rule is None:
                 rule = machine.delta_map.get((state, read))
                 if rule is None:

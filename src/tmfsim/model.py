@@ -167,19 +167,20 @@ class ValidatedMachine(BasicMachine):
     """A BasicMachine certified to satisfy every static invariant.
 
     Carries lookup maps keyed by (state, read) so the executor and the
-    reference interpreter can resolve transitions in O(1).
+    reference interpreter can resolve transitions in O(1). Only
+    `validate_machine` builds one, and it passes both maps.
     """
 
     __slots__ = ("delta_map", "gamma_map")
 
     def __init__(self, states: tuple[str, ...], initial: str, halting: str, alphabet: Alphabet,
                  delta: tuple[Rule, ...], gamma: tuple[Rule, ...] = (),
-                 description: str | None = None,
-                 delta_map: dict[tuple[str, str], Rule] | None = None,
-                 gamma_map: dict[tuple[str, str], Rule] | None = None):
+                 description: str | None = None, *,
+                 delta_map: dict[tuple[str, str], Rule],
+                 gamma_map: dict[tuple[str, str], Rule]):
         super().__init__(states, initial, halting, alphabet, delta, gamma, description)
-        object.__setattr__(self, "delta_map", {} if delta_map is None else delta_map)
-        object.__setattr__(self, "gamma_map", {} if gamma_map is None else gamma_map)
+        object.__setattr__(self, "delta_map", delta_map)
+        object.__setattr__(self, "gamma_map", gamma_map)
 
 
 def validate_machine(raw: BasicMachine) -> ValidatedMachine:

@@ -26,7 +26,6 @@ before stopping; cells beyond it are stale and invisible to every comparison.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .model import (
@@ -286,7 +285,7 @@ MicroOp = Rewind | ScanCompare | ScanCopy | SeekPlus | MarkPlus | Goto
 
 
 def _action(op: MicroOp) -> str:
-    return sys.intern(f"micro:{op.render()}")
+    return f"micro:{op.render()}"
 
 
 def _program(*ops: MicroOp, done: int | None = None) -> tuple[MicroOp, ...]:

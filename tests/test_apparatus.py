@@ -6,11 +6,11 @@ are correct is a property of the programs alone (ROADMAP item 18). Each
 case runs the real `stage_step`:
 
 - a committed master of up to L cells over `b 0 1`, its head at any cell
-  from 1 to L + 1 and the synchro `+` under it, is backed up by stages 3
-  and 4 over a stale backup;
+  from 0 to L + 1 and the synchro mark under it (`!+` at cell 0, `+`
+  elsewhere), is backed up by stages 3 and 4 over a stale backup;
 - the master is then replaced by any content of up to L cells, as a failure
-  may leave it, and the synchro `+` is either kept or erased, as a user
-  step erases it;
+  may leave it, and the synchro mark is either kept or erased, as a user
+  step erases it (to `!` at cell 0);
 - stages 5 and 6 restore.
 
 The contract: stages 3 and 4 commit, and after stages 5 and 6 the master
@@ -91,7 +91,7 @@ L = 2
 EMPTY = "b"
 CONTENTS = [cells for n in range(L + 1)
             for cells in itertools.product((EMPTY, "0", "1"), repeat=n)]
-HEADS = range(1, L + 2)
+HEADS = range(L + 2)
 STALE = (((), 1), (("1",) * (L + 1), L + 2))   # (backup content, backup "+" cell)
 STAGE_STEPS = 200
 
@@ -102,6 +102,9 @@ COMPILED = compile_machine(validate_machine(BasicMachine(
 
 
 def position_tape(plus: int, head: int) -> Tape:
+    """A position tape marked at cell `plus`: with `!+` when that is cell 0."""
+    if plus == 0:
+        return build_tape(MARKER_PLUS, (), head)
     return Tape(EMPTY, (EMPTY,) * (plus - 1) + (PLUS,), head)
 
 
@@ -133,8 +136,9 @@ def failed_case(committed, head, stale, failed, erased) -> tuple[int | None, lis
     control, commits = drive(3, tapes)
     tapes[MASTER] = Tape(EMPTY, failed, head)
     if erased:
+        # As a user step erases it: cell 0 keeps its marker.
         tapes[SYNCHRO].head = head
-        tapes[SYNCHRO].write(EMPTY)
+        tapes[SYNCHRO].write(MARKER if head == 0 else EMPTY)
     return (commits if isinstance(control, UserControl) else None), tapes
 
 
@@ -176,15 +180,21 @@ def test_every_restore_violation_is_an_item_15_class(cases):
 def test_the_master_checks_keep_every_marker(stage):
     """Stage 2 and stage 7 from their entries over every case, with the
     committed content on the user tape: `drive` checks the marker contract
-    on every step. Where each run ends, and with how many commits, shows
-    both branches of the stage's compare taken."""
+    on every step. The synchro head is at the master head, so at cell 0
+    stage 2's `MarkPlus` writes `!+`. Where each run ends, and with how
+    many commits, shows both branches of the stage's compare taken."""
     ends = set()
     for committed, head, stale, failed, erased in itertools.product(
             CONTENTS, HEADS, STALE, CONTENTS, (False, True)):
         _, tapes = failed_case(committed, head, stale, failed, erased)
         tapes[USER] = Tape(EMPTY, committed, head)
+        assert tapes[SYNCHRO].head == head
         control, commits = drive(stage, tapes)
         ends.add((control.__class__, commits))
+        if stage == 2 and head == 0:
+            # `MarkPlus` marked cell 0 with the one symbol `!+`, over the
+            # `!` an erasing user step leaves there, and nothing cleared it.
+            assert tapes[SYNCHRO].cells[0] == MARKER_PLUS
     # Stage 2 commits through stages 3 and 4 on its equal branch; stage 7
     # shuts down on its own, and enters recovery on its diff branch.
     assert ends == ({(UserControl, 1), (UserControl, 0)} if stage == 2

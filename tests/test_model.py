@@ -42,6 +42,13 @@ class TestValidation:
             validate_machine(make_machine(dup))
         assert any(i.code == "duplicate-rule" for i in err.value.issues)
 
+    def test_duplicate_fault_rule(self):
+        gamma = (Rule("q0", "1", "q0", "0", "R"), Rule("q0", "1", "qf", "0", "N"))
+        with pytest.raises(ValidationError) as err:
+            validate_machine(make_machine(APPEND_RULES, gamma))
+        assert [str(i) for i in err.value.issues] == [
+            "duplicate-rule: two fault rules for (q0, 1)"]
+
     def test_fault_identical_to_normal_rule(self):
         gamma = (Rule("q0", "1", "q0", "1", "R"),)
         with pytest.raises(ValidationError) as err:
@@ -143,6 +150,15 @@ class TestValidation:
         assert (again.delta, again.gamma) == (rules, faults)
         assert again.delta_map == {("q0", "1"): rules[0]}
         assert again.gamma_map == {("q0", "1"): faults[0]}
+
+    @pytest.mark.parametrize("passed", ["delta_map", "gamma_map"])
+    def test_a_validated_machine_takes_both_maps(self, passed):
+        """No empty default stands in for a missing map: every user step of
+        such a machine would jam with `UndefinedRule`."""
+        machine = validate_machine(make_machine(APPEND_RULES))
+        fields = [getattr(machine, name) for name in BasicMachine.__slots__]
+        with pytest.raises(TypeError, match="required keyword-only argument"):
+            ValidatedMachine(*fields, **{passed: getattr(machine, passed)})
 
 
 class TestTape:

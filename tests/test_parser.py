@@ -36,6 +36,11 @@ class TestStatesFile:
         with pytest.raises(DefinitionError, match="duplicate section: initial"):
             parse_states_file("initial q0\ninitial q1\nhalting qf")
 
+    def test_initial_takes_one_name(self):
+        complaint = "line 1: initial expects exactly one state name"
+        with pytest.raises(DefinitionError, match=f"^{complaint}$"):
+            parse_states_file("initial q0 q1\nhalting qf")
+
     def test_missing_initial(self):
         with pytest.raises(DefinitionError, match="missing section: initial"):
             parse_states_file("# comment\nhalting qf")
@@ -164,6 +169,10 @@ class TestMetafile:
         with pytest.raises(DefinitionError, match=f"^line 1: {re.escape(complaint)}$"):
             parse_metafile(f"d {count} s a r w\n")
 
+    def test_master_tape_count_must_be_positive(self):
+        with pytest.raises(DefinitionError, match="^line 1: master-tape count must be positive$"):
+            parse_metafile("d 0 s a r w\n")
+
     def test_empty_metafile(self):
         with pytest.raises(DefinitionError, match="no rows"):
             parse_metafile("# only a comment\n")
@@ -229,6 +238,8 @@ class TestLoadMachine:
                                      row=1)
         assert machine.initial == "q0"
         assert word == ("1", "0", "1", "1")
+        with pytest.raises(DefinitionError, match="metafile has 1 row\\(s\\), row 5 requested"):
+            load_machine(corpus_meta("unary"), row=5)
 
 
 # Text rich in what the parsers split on and read: tabs, `=`, `,`, digits

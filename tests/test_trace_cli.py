@@ -1,4 +1,5 @@
 import copy
+import errno
 import io
 import os
 import pickle
@@ -142,15 +143,22 @@ class TestTraceFormat:
                              ids=["passive", "random", "fault-heavy"])
     @pytest.mark.parametrize("name", MACHINE_NAMES)
     def test_records_share_control_and_action_strings(self, compiled_corpus, name, p_fault):
-        """Records with equal `before`, `after` or `action` text hold the same
-        string object. The fault-heavy runs repeat fault actions."""
+        """Records with equal `before` or `after` text hold the same string
+        object, and so do the records of one control with equal `action`
+        text: each control renders its text once, and each op its action.
+        A fault's action is built at its step, so the fault-heavy runs, which
+        repeat faults, check the sharing around them."""
         compiled, word = compiled_corpus[name]
         policy = ScriptPolicy({}) if p_fault is None else RandomPolicy(p_fault, 0.01, 7)
         _, records = run(init_configuration(compiled, word, policy), max_steps=5_000)
         first = {}
+        first_action = {}
         for record in records:
-            for text in (record.before, record.after, record.action):
+            for text in (record.before, record.after):
                 assert first.setdefault(text, text) is text
+            if not record.action.startswith("fault:"):
+                action = first_action.setdefault((record.before, record.action), record.action)
+                assert action is record.action
 
     def test_program_actions_are_the_rendered_ops(self):
         """Each op's action is `micro:<op>`, except the closing `goto(stage
@@ -212,6 +220,8 @@ class TestTraceFormat:
                 assert type(record) is TraceRecord
                 assert record._replace() == record
                 assert record._replace(step=record.step + 1).step == record.step + 1
+            with pytest.raises(ValueError, match=r"^Got unexpected field names: \['bogus'\]$"):
+                parsed[0]._replace(bogus=1)
             with pytest.raises(AttributeError):
                 parsed[0].step = 0
 
@@ -330,6 +340,25 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class FullStream(io.TextIOBase):
+    """A text stream that is always full and has no descriptor: `fileno`
+    raises, so nothing can point the test process's own stdout elsewhere."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+def lowest_free_descriptor() -> int:
+    """The descriptor the next `open` gets: it moves up by one for each
+    descriptor left open."""
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
 
 
 def first_run_with_a_fault_and_a_failure(compiled, word):
@@ -594,6 +623,22 @@ class TestCliRun:
         assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
     @pytest.mark.parametrize("subcommand", ["run", "oracle"])
+    def test_failed_write_to_a_stream_without_a_descriptor(self, monkeypatch, capsys,
+                                                           subcommand):
+        """A standard output with no descriptor of its own, as under
+        `contextlib.redirect_stdout`, that is full: the error is named as
+        for a real one, and the null device opened to take what is left is
+        closed again. `run` names it where it prints its result, `oracle`
+        in `main`."""
+        free = lowest_free_descriptor()
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        code = main([subcommand, "-m", corpus_meta("unary")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: cannot write standard output: No space left on device\n")
+        assert lowest_free_descriptor() == free
+
+    @pytest.mark.parametrize("subcommand", ["run", "oracle"])
     def test_negative_max_steps_is_a_usage_error(self, capsys, subcommand):
         with pytest.raises(SystemExit) as exc:
             main([subcommand, "-m", corpus_meta("unary"), "--max-steps", "-5"])
@@ -777,6 +822,12 @@ class TestCliOther:
         code, out, _ = run_cli(["oracle", "-m", corpus_meta("succ")], capsys)
         assert code == 0
         assert out.strip() == "1 1 0 0"
+
+    def test_oracle_step_limit_exit_code(self, capsys):
+        code, out, err = run_cli(["oracle", "-m", corpus_meta("succ"), "--max-steps", "3"],
+                                 capsys)
+        assert code == 2
+        assert (out, err) == ("", "error: no halt within 3 steps\n")
 
     def test_oracle_jam_exit_code(self, tmp_path, capsys):
         meta = write_definition(tmp_path, rules="", word="1\n")
