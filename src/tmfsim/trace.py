@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from operator import itemgetter
 from typing import TextIO
 
@@ -58,49 +59,74 @@ class TraceRecord(tuple):
             raise ValueError(f"Got unexpected field names: {list(changes)!r}")
         return record
 
-    def render(self) -> str:
-        step, daemon, phase, stage, before, after, action, heads, masked, digests = self
-        return (f"step={step}\tdaemon={daemon}\tphase={phase}"
-                f"\tstage={stage}\tbefore={before}\tafter={after}"
-                f"\taction={action}"
-                f"\theads={heads[0]},{heads[1]},{heads[2]},{heads[3]},{heads[4]}"
-                f"{_MASKED if masked else ''}"
-                f"{'' if digests is None else _DIGESTS + ','.join(digests)}")
-
 
 # Integers are written in `COUNT_PATTERN`, the only form parsed back; text
 # values are anything but a tab, with no comma inside the digest list.
 # `_RECORD` captures five texts: the step, the six fields from `daemon` to
-# `action` as one run, the heads, `masked` and the digests, so that
-# `parse_trace` splits each distinct run of them only once. A line in any
-# other layout fails to match, and `_layout_error` says why.
+# `action` as one run, the heads, `masked` and the digests. The heads and
+# the digests it takes as plain tab-free runs, since repeated groups cost the
+# regex engine most of its time: `parse_trace` checks each distinct heads
+# text against `_HEADS`, and each distinct digests text for five
+# comma-separated parts, once per call, the first time it sees it. A line in
+# any other layout fails the match or one of these checks, and
+# `_layout_error` says why.
 _TEXT = "[^\t]*"
 _MIDDLE = "\t".join(f"{key}=(?:{COUNT_PATTERN if key == 'stage' else _TEXT})"
                     for key in _KEYS[1:7])
-_HEADS = ",".join([f"(?:{COUNT_PATTERN})"] * 5)
-_RECORD = re.compile(f"step=({COUNT_PATTERN})\t({_MIDDLE})\theads=({_HEADS})"
-                     "(\tmasked=1)?(?:\tdigests=([^\t,]*(?:,[^\t,]*){4}))?")
+_HEADS = re.compile(",".join([f"(?:{COUNT_PATTERN})"] * 5))
+_RECORD = re.compile(f"step=({COUNT_PATTERN})\t({_MIDDLE})\theads=({_TEXT})"
+                     f"(\tmasked=1)?(?:\tdigests=({_TEXT}))?")
+
+# `render_trace` writes to a handle this many lines at a time: a few tens of
+# kilobytes, so a long trace is never held whole as text.
+_BATCH = 256
+
+
+def _lines(records: Iterable[TraceRecord]) -> Iterator[str]:
+    """Each record's line, newline included: the one place that writes the
+    layout `parse_trace` reads. Each distinct run of `daemon`..`action`
+    fields is formatted once per call, and a digest tuple once while
+    consecutive records hold it."""
+    middles: dict[tuple, str] = {}
+    last_digests = None
+    digests_text = ""
+    for record in records:
+        step, daemon, phase, stage, before, after, action, heads, masked, digests = record
+        key = record[1:7]
+        middle = middles.get(key)
+        if middle is None:
+            middle = middles[key] = (f"\tdaemon={daemon}\tphase={phase}\tstage={stage}"
+                                     f"\tbefore={before}\tafter={after}\taction={action}"
+                                     "\theads=")
+        if digests is not last_digests:
+            last_digests = digests
+            digests_text = "" if digests is None else _DIGESTS + ",".join(digests)
+        yield (f"step={step}{middle}{heads[0]},{heads[1]},{heads[2]},{heads[3]},{heads[4]}"
+               f"{_MASKED if masked else ''}{digests_text}\n")
 
 
 def render_trace(records: Iterable[TraceRecord], out: TextIO | None = None) -> str | None:
-    """The text of `records`, one line each; with `out`, each line is
-    written to that handle instead and nothing is returned."""
+    """The text of `records`, one line each; with `out`, the text is
+    written to that handle instead, `_BATCH` lines per write, and nothing
+    is returned."""
+    lines = _lines(records)
     if out is None:
-        return "".join([f"{record.render()}\n" for record in records])
+        return "".join(lines)
     write = out.write
-    for record in records:
-        write(f"{record.render()}\n")
+    while batch := "".join(islice(lines, _BATCH)):
+        write(batch)
     return None
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
     """Records from the text of a trace; lines split as `str.splitlines`
     splits them, and blank lines are skipped. A line in any other layout
-    than `TraceRecord.render` writes, or with an integer longer than
-    `int()` reads, raises `ValueError` naming its line number.
+    than `render_trace` writes, or with an integer longer than `int()`
+    reads, raises `ValueError` naming its line number.
 
     Records with equal `daemon`..`action` fields, equal heads or equal
-    digests share those values: each distinct text is split once per call.
+    digests share those values: each distinct text is checked and split
+    once per call, before the record of the line it first appears on.
     """
     records = []
     append = records.append
@@ -108,6 +134,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
     head_sets: dict[str, tuple[int, ...]] = {}
     digest_sets: dict[str, tuple[str, ...]] = {}
     match_record = _RECORD.fullmatch
+    match_heads = _HEADS.fullmatch
     for number, line in enumerate(text.splitlines(), start=1):
         match = match_record(line)
         if match is None:
@@ -115,8 +142,9 @@ def parse_trace(text: str) -> list[TraceRecord]:
                 continue
             raise ValueError(f"line {number}: {_layout_error(line)}")
         step, middle, heads, masked, digests = match.groups()
-        # The match has read the syntax of every integer; `int` only converts,
-        # and fails only past its digit limit, which `_layout_error` names.
+        # The matches have read the syntax of every integer; `int` only
+        # converts, and fails only past its digit limit, which `_layout_error`
+        # names. A heads or digests text in the wrong layout raises the same.
         try:
             step = int(step)
             fields = middles.get(middle)
@@ -128,15 +156,20 @@ def parse_trace(text: str) -> list[TraceRecord]:
                 fields = middles[middle] = (daemon, phase, int(stage), before, after, action)
             shared = head_sets.get(heads)
             if shared is None:
+                if match_heads(heads) is None:
+                    raise ValueError
                 shared = head_sets[heads] = tuple(map(int, heads.split(",")))
+            heads = shared
+            if digests is not None:
+                shared = digest_sets.get(digests)
+                if shared is None:
+                    shared = tuple(digests.split(","))
+                    if len(shared) != 5:
+                        raise ValueError
+                    digest_sets[digests] = shared
+                digests = shared
         except ValueError:
             raise ValueError(f"line {number}: {_layout_error(line)}") from None
-        heads = shared
-        if digests is not None:
-            shared = digest_sets.get(digests)
-            if shared is None:
-                shared = digest_sets[digests] = tuple(digests.split(","))
-            digests = shared
         append(TraceRecord((step, *fields, heads, masked is not None, digests)))
     return records
 

@@ -244,6 +244,23 @@ class TestRun:
         assert result.outcome == "jammed"
         assert "UndefinedRule" in result.jam_reason
 
+    def test_reference_computation_without_a_rule_jams(self):
+        """The fault at the first user step leaves the program in `q1`, which
+        halts; the fault-immune reference computation stays in `q0`, which
+        has no rule for the blank after the word, and the run jams there."""
+        machine = validate_machine(BasicMachine(
+            states=("q0", "q1", "qf"), initial="q0", halting="qf",
+            alphabet=Alphabet("b", input=("1",)),
+            delta=(Rule("q0", "1", "q0", "1", "R"), Rule("q1", "1", "q1", "1", "R"),
+                   Rule("q1", "b", "qf", "1", "N")),
+            gamma=(Rule("q0", "1", "q1", "1", "R"),)))
+        cfg = init_configuration(compile_machine(machine), ("1", "1"),
+                                 ScriptPolicy({25: "active"}))
+        result, _ = run(cfg)
+        assert result.outcome == "jammed"
+        assert result.faults_injected == 1
+        assert result.jam_reason == "UndefinedRule: reference computation: no rule for (q0, b)"
+
     def test_corrupted_position_tapes_jam_with_plus_not_found(self, unary):
         compiled, word = unary
         cfg = init_configuration(compiled, word, ScriptPolicy({}))

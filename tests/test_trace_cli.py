@@ -3,6 +3,7 @@ import errno
 import io
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -13,11 +14,13 @@ from tmfsim import cli
 from tmfsim.cli import main
 from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, run, step
-from tmfsim.model import JamError
+from tmfsim.model import COUNT_PATTERN, JamError
 from tmfsim.stages import STAGE_PROGRAMS, Goto, ShutdownControl
 from tmfsim.trace import (
+    _BATCH,
     _KEYS,
     TraceRecord,
+    _layout_error,
     digest_tapes,
     parse_trace,
     render_trace,
@@ -48,6 +51,42 @@ def field_text(forbidden: str = "") -> st.SearchStrategy[str]:
                    | st.characters(exclude_characters="\t" + LINE_BREAKS + forbidden))
 
 
+# The strict record pattern, which checks the heads and the digests on every
+# line: the reference for which lines are records.
+REFERENCE_TEXT = "[^\t]*"
+REFERENCE_MIDDLE = "\t".join(f"{key}=(?:{COUNT_PATTERN if key == 'stage' else REFERENCE_TEXT})"
+                             for key in _KEYS[1:7])
+REFERENCE_HEADS = ",".join([f"(?:{COUNT_PATTERN})"] * 5)
+REFERENCE_RECORD = re.compile(f"step=({COUNT_PATTERN})\t({REFERENCE_MIDDLE})"
+                              f"\theads=({REFERENCE_HEADS})(\tmasked=1)?"
+                              "(?:\tdigests=([^\t,]*(?:,[^\t,]*){4}))?")
+
+# Ways to spoil one comma-separated part of a heads or digests text.
+MUTATIONS = ("drop-comma", "add-comma", "leading-zero", "plus-sign", "minus-sign",
+             "non-ascii-digit", "empty-part", "stray-equals")
+
+
+def spoil(text: str, mutation: str, index: int) -> str:
+    """`text`, a list of comma-separated parts, with its part at `index`
+    spoiled by `mutation`."""
+    parts = text.split(",")
+    i = index % len(parts)
+    if mutation == "drop-comma":
+        i = min(i, len(parts) - 2)
+        parts[i:i + 2] = [parts[i] + parts[i + 1]]
+    elif mutation == "add-comma":
+        parts.insert(i, parts[i])
+    elif mutation == "non-ascii-digit":
+        parts[i] = "\u0661"
+    elif mutation == "empty-part":
+        parts[i] = ""
+    elif mutation == "stray-equals":
+        parts[i] += "="
+    else:
+        parts[i] = {"leading-zero": "0", "plus-sign": "+", "minus-sign": "-"}[mutation] + parts[i]
+    return ",".join(parts)
+
+
 counts = st.integers(min_value=0)
 trace_records = st.builds(TraceRecord, st.tuples(
     counts, field_text(), field_text(), counts, field_text(), field_text(),
@@ -60,7 +99,7 @@ class TestTraceFormat:
         record = TraceRecord((
             12, "active", "program", 1, "user:q0", "stage:2/0/q1", "fault:q0 1 -> q0 0 R",
             (3, 3, 0, 0, 3), True, ("aa", "bb", "cc", "dd", "ee")))
-        assert parse_trace(record.render())[0] == record
+        assert parse_trace(render_trace([record]))[0] == record
 
     def test_round_trip_full_run(self, succ):
         compiled, word = succ
@@ -74,7 +113,9 @@ class TestTraceFormat:
 
     @given(records=st.lists(trace_records, max_size=4))
     def test_round_trip_generated_records(self, records):
-        assert parse_trace(render_trace(records)) == records
+        text = render_trace(records)
+        assert text == "".join(map(reference_line, records))
+        assert parse_trace(text) == records
 
     def test_parse_rejects_malformed_lines(self):
         with pytest.raises(ValueError, match="key=value"):
@@ -106,6 +147,82 @@ class TestTraceFormat:
                  "Exceeds the limit .* in heads")):
             with pytest.raises(ValueError, match=f"^line 2: {complaint}"):
                 parse_trace(GOOD_LINE + "\n" + bad + "\n")
+
+    @given(records=st.lists(trace_records, min_size=1, max_size=4),
+           field=st.sampled_from(["heads", "digests"]), mutation=st.sampled_from(MUTATIONS),
+           line=st.integers(min_value=0), part=st.integers(min_value=0, max_value=5))
+    def test_parse_agrees_with_the_reference_on_spoiled_lines(self, records, field, mutation,
+                                                             line, part):
+        """A generated trace, with one line spoiled in its heads or digests
+        field, gives what the reference pattern gives: the same records, or
+        the same `line N:` error."""
+        lines = render_trace(records).splitlines()
+        assert parse_outcome("\n".join(lines)) == reference_parse("\n".join(lines))
+        i = line % len(lines)
+        chunks = lines[i].split("\t")
+        if not chunks[-1].startswith("digests="):
+            chunks.append("digests=a,b,c,d,e")
+        at = -1 if field == "digests" else _KEYS.index("heads")
+        key, _, value = chunks[at].partition("=")
+        chunks[at] = f"{key}={spoil(value, mutation, part)}"
+        lines[i] = "\t".join(chunks)
+        text = "\n".join(lines)
+        assert parse_outcome(text) == reference_parse(text)
+
+    def test_parse_agrees_with_the_reference_on_every_kind_of_line(self, succ):
+        """`parse_trace` accepts exactly the lines the reference pattern
+        matches, builds the same records from them, and names every other
+        line with `_layout_error`'s message: on a run's trace, on each
+        spoiling of each of its heads and digests parts, and on lines of
+        every other layout."""
+        compiled, word = succ
+        cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, 7))
+        _, records = run(cfg, with_digests=True)
+        text = render_trace(records)
+        assert parse_trace(text) == reference_parse(text) == records
+        lines = {GOOD_LINE, GOOD_LINE + "\tmasked=1", GOOD_LINE + "\tdigests=a,b=,c,d,e",
+                 GOOD_LINE + "\tmasked=1\tdigests=,,,,", GOOD_LINE.replace("action=normal", "x"),
+                 GOOD_LINE + "\t", "step=1", "", " ", "heads=1,1,0,0,1"}
+        for line in text.splitlines()[:400:40]:
+            chunks = line.split("\t")
+            for at, (key, _, value) in enumerate(chunk.partition("=") for chunk in chunks):
+                if key not in ("heads", "digests"):
+                    continue
+                for mutation in MUTATIONS:
+                    for part in range(5):
+                        spoiled = [*chunks[:at], f"{key}={spoil(value, mutation, part)}",
+                                   *chunks[at + 1:]]
+                        lines.add("\t".join(spoiled))
+        accepted = 0
+        for line in sorted(lines):
+            outcome = parse_outcome(line)
+            assert outcome == reference_parse(line)
+            if REFERENCE_RECORD.fullmatch(line):
+                accepted += 1
+                assert len(outcome) == 1
+            elif line.strip():
+                assert outcome == f"line 1: {_layout_error(line)}"
+        assert 0 < accepted < len(lines)
+
+    @pytest.mark.parametrize("good, bad", [
+        ("heads=1,1,0,0,1", "heads=1,01,0,0,1"),
+        ("heads=1,1,0,0,1", "heads=1,1,0,0"),
+        ("heads=1,1,0,0,1", "heads=1,1,0,0,\u0661"),
+        ("digests=a,b,c,d,e", "digests=a,b,c,d"),
+        ("digests=a,b,c,d,e", "digests=a,b,c,d,e,f")], ids=ascii)
+    def test_parse_names_a_bad_text_after_good_lines_with_its_middle(self, good, bad):
+        """Each distinct heads and digests text is checked once, when first
+        seen: a bad one after many good lines with the same middle fields
+        is named by its own line number, as is a bad one seen once before
+        and repeated."""
+        line = GOOD_LINE if good.startswith("heads=") else GOOD_LINE + "\tdigests=a,b,c,d,e"
+        goods = [line.replace("step=1", f"step={n}") for n in range(1, 51)]
+        spoiled = goods[0].replace(good, bad)
+        assert spoiled != goods[0]
+        complaint = f": {_layout_error(spoiled)}"
+        for text, number in (("\n".join([*goods, spoiled, *goods]), 51),
+                             ("\n".join([*goods[:3], "", spoiled, spoiled]), 5)):
+            assert parse_outcome(text) == reference_parse(text) == f"line {number}{complaint}"
 
     @pytest.mark.parametrize("brk", [*LINE_BREAKS, "\r\n"], ids=ascii)
     def test_parse_splits_lines_as_splitlines_does(self, brk):
@@ -323,6 +440,41 @@ def parse_outcome(text):
         return str(exc)
 
 
+def reference_parse(text):
+    """What `parse_trace` should give: each line matched in full by
+    `REFERENCE_RECORD` and split, with no memo, or the first other
+    non-blank line named."""
+    records = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        match = REFERENCE_RECORD.fullmatch(line)
+        try:
+            if match is None:
+                if not line.strip():
+                    continue
+                raise ValueError
+            step, middle, heads, masked, digests = match.groups()
+            daemon, phase, stage, before, after, action = [
+                chunk.partition("=")[2] for chunk in middle.split("\t")]
+            records.append(TraceRecord((
+                int(step), daemon, phase, int(stage), before, after, action,
+                tuple(map(int, heads.split(","))), masked is not None,
+                None if digests is None else tuple(digests.split(",")))))
+        except ValueError:
+            return f"line {number}: {_layout_error(line)}"
+    return records
+
+
+def reference_line(record) -> str:
+    """A record's line, newline included, built field by field."""
+    *values, heads, masked, digests = record
+    fields = [*map("{}={}".format, _KEYS, values), f"heads={','.join(map(str, heads))}"]
+    if masked:
+        fields.append("masked=1")
+    if digests is not None:
+        fields.append(f"digests={','.join(digests)}")
+    return "\t".join(fields) + "\n"
+
+
 def parse_each_line(text):
     """What `parse_trace` should give: each `text.splitlines()` line read on
     its own, blank ones skipped, the first error named by its line number."""
@@ -340,6 +492,12 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class Writes(list):
+    """A handle that keeps each text written to it."""
+
+    write = list.append
 
 
 class FullStream(io.TextIOBase):
@@ -702,6 +860,43 @@ class TestCliRun:
             handle = io.StringIO()
             assert render_trace(chosen, handle) is None
             assert handle.getvalue() == render_trace(chosen)
+
+    def test_render_trace_writes_bounded_batches(self, unary):
+        """To a handle, `render_trace` writes the text it returns, in writes
+        of at most `_BATCH` lines each, on both sides of every boundary."""
+        compiled, _ = unary
+        cfg = init_configuration(compiled, ("1",) * 12, RandomPolicy(0.05, 0.01, 9))
+        _, records = run(cfg, with_digests=True)
+        assert len(records) > 5 * _BATCH
+        for count in (0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 3 * _BATCH, len(records)):
+            chosen = records[:count]
+            handle = Writes()
+            assert render_trace(chosen, handle) is None
+            assert "".join(handle) == render_trace(chosen)
+            assert [text.count("\n") for text in handle] == (
+                [_BATCH] * (count // _BATCH) + [count % _BATCH] * (count % _BATCH > 0))
+
+    def test_render_trace_follows_digests_that_change_and_stay(self, succ):
+        """Each line holds its own record's digests, whether the record
+        shares its digest tuple with the record before it, holds an equal
+        tuple of its own, holds other digests or holds none; in a run's
+        trace and in records made for each case."""
+        compiled, word = succ
+        cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, 9))
+        _, records = run(cfg, with_digests=True)
+        pairs = list(zip(records, records[1:]))
+        assert any(a.digests is b.digests for a, b in pairs)
+        assert any(a.digests != b.digests for a, b in pairs)
+        first = tuple(["a"] * 5)
+        other = ("a", "b", "c", "d", "e")
+        record = parse_trace(GOOD_LINE)[0]
+        made = [record._replace(step=step, digests=digests) for step, digests in enumerate(
+            (None, first, first, tuple(["a"] * 5), other, other, None, None, first))]
+        for chosen in (records, made):
+            expected = "".join(map(reference_line, chosen))
+            handle = io.StringIO()
+            render_trace(chosen, handle)
+            assert render_trace(chosen) == handle.getvalue() == expected
 
     def test_summary_trace_on_stdout(self, capsys):
         code, out, _ = run_cli(["run", "-m", corpus_meta("unary"), "--trace", "summary"],
