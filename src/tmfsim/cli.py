@@ -9,6 +9,7 @@ machine). Exit codes: 0 success/shutdown, 1 definition or usage error,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -277,6 +278,13 @@ def _sweep(compiled, word, args, choice: str, out) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    # A run holds one trace record per step. Records are tuple subclasses,
+    # which the cyclic collector never untracks, so it would rescan each held
+    # record again and again and free nothing: runs and trace parsing make no
+    # reference cycles (tests/test_executor.py). So the collector is paused
+    # while the command runs and turned back on after, if it was on.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = _command(args, sys.stdout)
         # What is still buffered is written here, where a failure can be
@@ -289,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         error = exc
     else:
         return code
+    finally:
+        if collecting:
+            gc.enable()
     print(f"error: {error}", file=sys.stderr)
     return EXIT_ERROR
 

@@ -52,23 +52,39 @@ def write_definition(directory, alphabet="empty b\ninput 1\n", rules="q0 b -> qf
     return str(directory / "meta")
 
 
-def renamed_machine(machine):
-    """A copy of `machine` with every state and every symbol but `!` renamed,
-    its empty symbol too, so that it shares no name with `machine`."""
-    def sym(token):
-        return token if token == MARKER else f"{token}_"
-
+def relabelled_machine(machine, state, sym):
+    """A copy of `machine` with each state named `state(name)` and each
+    symbol but `!` named `sym(name)`, its empty symbol too."""
     def rule(r):
-        return Rule(f"{r.from_state}_", sym(r.read), f"{r.to_state}_", sym(r.write), r.move,
+        return Rule(state(r.from_state), sym(r.read), state(r.to_state), sym(r.write), r.move,
                     r.checkpoint)
 
     alphabet = machine.alphabet
     return validate_machine(BasicMachine(
-        tuple(f"{state}_" for state in machine.states), f"{machine.initial}_",
-        f"{machine.halting}_",
+        tuple(map(state, machine.states)), state(machine.initial), state(machine.halting),
         Alphabet(sym(alphabet.empty), tuple(map(sym, alphabet.input)),
                  tuple(map(sym, alphabet.internal))),
         tuple(map(rule, machine.delta)), tuple(map(rule, machine.gamma))))
+
+
+def renamed_machine(machine):
+    """A copy of `machine` with every state and every symbol but `!` renamed,
+    its empty symbol too, so that it shares no name with `machine`."""
+    return relabelled_machine(machine, lambda name: f"{name}_",
+                              lambda name: name if name == MARKER else f"{name}_")
+
+
+def rotated_machine(machine):
+    """A copy of `machine` with its own state and symbol names, each symbol
+    in another role: taking the empty, input and internal symbols in order,
+    each is renamed to the next one's name and the last to the empty one's.
+    A symbol that is the empty one of `machine` is an ordinary one here, so
+    an op that tests a symbol by its name, not its role, tells the two
+    machines apart."""
+    alphabet = machine.alphabet
+    symbols = (alphabet.empty, *alphabet.input, *alphabet.internal)
+    names = dict(zip(symbols, symbols[1:] + symbols[:1]))
+    return relabelled_machine(machine, lambda name: name, lambda name: names.get(name, name))
 
 
 def _where(control, resume: str):

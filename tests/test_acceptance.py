@@ -26,6 +26,7 @@ from conftest import (
     control_graph,
     master_tape,
     renamed_machine,
+    rotated_machine,
     stage_patterns,
     stage_walk,
 )
@@ -162,18 +163,20 @@ def test_criterion_5_checkpoint_invariants(compiled_corpus):
 
 
 def test_criterion_6_stage_machinery_is_machine_independent(compiled_corpus):
-    """Every corpus machine and a copy of it with every state and symbol
-    renamed, its empty symbol too, resolve each stage control to the op and
-    the exits `unary` does, and walk each stage from its entry over the same
-    tape patterns as `unary` does."""
+    """Every corpus machine, a copy of it with every state and symbol
+    renamed, its empty symbol too, and a copy with each of its symbols in
+    another role, resolve each stage control to the op and the exits
+    `unary` does, and walk each stage from its entry over the same tape
+    patterns as `unary` does."""
     reference, _ = compiled_corpus["unary"]
     graph = control_graph(reference, reference.base.initial)
     cases = [(stage, pattern) for stage in STAGE_PROGRAMS
              for pattern in stage_patterns(30, seed=stage)]
     walks = [stage_walk(reference, reference.base.initial, *case) for case in cases]
     machines = [compiled for compiled, _ in compiled_corpus.values()]
-    machines += [compile_machine(renamed_machine(compiled.base)) for compiled in machines]
-    assert len({compiled.base.alphabet.empty for compiled in machines}) == 2
+    machines += [compile_machine(relabel(compiled.base)) for compiled in machines
+                 for relabel in (renamed_machine, rotated_machine)]
+    assert len({compiled.base.alphabet.empty for compiled in machines}) == 4
     for compiled in machines:
         resume = compiled.base.initial
         assert control_graph(compiled, resume) == graph   # ops compare by identity

@@ -1,3 +1,4 @@
+import gc
 import sys
 
 import pytest
@@ -35,7 +36,7 @@ from tmfsim.stages import (
     UserControl,
     compile_machine,
 )
-from tmfsim.trace import render_trace, summarize
+from tmfsim.trace import parse_trace, render_trace, summarize
 
 from conftest import MACHINE_NAMES, step_events, tapes_equal_to_terminator
 
@@ -455,6 +456,47 @@ def test_random_words_match_the_oracle(compiled_corpus, data):
         result, _ = run(init_configuration(compiled, word), max_steps=100_000)
         assert result.outcome == "shutdown", (name, word)
         assert result.final_master_word == expected, (name, word)
+
+
+def test_runs_sweeps_and_parses_leave_no_reference_cycles(compiled_corpus):
+    """`cli.main` pauses the cyclic collector while its command runs. That
+    is free only while the simulator makes no reference cycles: with the
+    collector paused, each job below, its results dropped, leaves nothing
+    for `gc.collect()` to free."""
+    def passive(compiled, word):
+        run(init_configuration(compiled, word, ScriptPolicy({})))
+
+    def random_with_digests(compiled, word, seed):
+        run(init_configuration(compiled, word, RandomPolicy(0.05, 0.01, seed)),
+            max_steps=50_000, with_digests=True)
+
+    def sweep_all(compiled, word, choice):
+        _, runs = sweep(compiled, word, choice)
+        for _ in runs:
+            pass
+
+    compiled, word = compiled_corpus["succ"]
+    _, records = run(init_configuration(compiled, word, RandomPolicy(0.05, 0.01, 1)),
+                     with_digests=True)
+    text = render_trace(records)
+    del records
+    assert "digests=" in text
+    jobs = [(f"passive {name}", passive, compiled_corpus[name]) for name in MACHINE_NAMES]
+    jobs += [(f"random {name} seed {seed}", random_with_digests, (*compiled_corpus[name], seed))
+             for name in MACHINE_NAMES for seed in (1, 2)]
+    jobs += [(f"sweep unary {choice}", sweep_all, (*compiled_corpus["unary"], choice))
+             for choice in ("active", "aggressive")]
+    jobs.append(("parse_trace", parse_trace, (text,)))
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for what, job, args in jobs:
+            job(*args)
+            assert gc.collect() == 0, what
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_run_result_is_a_read_only_record():

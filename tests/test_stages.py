@@ -39,7 +39,13 @@ from tmfsim.stages import (
     stage_step,
 )
 
-from conftest import control_graph, renamed_machine, stage_patterns, stage_walk
+from conftest import (
+    control_graph,
+    renamed_machine,
+    rotated_machine,
+    stage_patterns,
+    stage_walk,
+)
 
 
 def small_machine(checkpoints=(), gamma=()):
@@ -307,20 +313,27 @@ class TestEmitPi:
 
 
 def test_stage_programs_are_machine_independent():
-    """Two machines that share no state and no symbol but `!` resolve each
-    stage control to the same op, with exits to the same places, and drive
-    each stage alike over the same tape patterns."""
+    """Three machines over different alphabets resolve each stage control to
+    the same op, with exits to the same places, and drive each stage alike
+    from tape patterns equal up to a renaming of symbols: the same actions,
+    control path, heads, jam and cells. One of the copies shares no state
+    and no symbol but `!` with the first machine; the other shares all its
+    names, each symbol in another role."""
     one = compile_machine(small_machine())
-    other = compile_machine(renamed_machine(one.base))
-    assert other.base.alphabet.empty != one.base.alphabet.empty
+    copies = [(compile_machine(renamed_machine(one.base)), "q0_"),
+              (compile_machine(rotated_machine(one.base)), "q0")]
+    assert len({one.base.alphabet.empty} | {c.base.alphabet.empty for c, _ in copies}) == 3
     graph = control_graph(one, "q0")
     assert len(graph) == sum(len(ops) for ops in STAGE_PROGRAMS.values())
-    for key, (op, exits) in control_graph(other, "q0_").items():
-        assert op is graph[key][0]
-        assert exits == graph[key][1]
+    for other, resume in copies:
+        for key, (op, exits) in control_graph(other, resume).items():
+            assert op is graph[key][0]
+            assert exits == graph[key][1]
     for stage in STAGE_PROGRAMS:
         for pattern in stage_patterns(100, seed=stage):
-            assert stage_walk(other, "q0_", stage, pattern) == stage_walk(one, "q0", stage, pattern)
+            walk = stage_walk(one, "q0", stage, pattern)
+            for other, resume in copies:
+                assert stage_walk(other, resume, stage, pattern) == walk
 
 
 @pytest.mark.parametrize("cls, text", [

@@ -1,5 +1,6 @@
 import copy
 import errno
+import gc
 import io
 import os
 import pickle
@@ -958,6 +959,52 @@ class TestCliRun:
         assert code == 1
         assert out.splitlines() == ["k=3 outcome=shutdown word=0 recoveries=0",
                                     "sweep(active): 173/174 runs shut down with the baseline word"]
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case, code", [
+        ("shutdown", 0), ("step-limit", 2), ("jammed", 3), ("missing-metafile", 1),
+        ("missing-schedule", 1), ("stdout-error", 1), ("raised", None)])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch, case, code,
+                                                      collecting):
+        """`main` pauses the cyclic collector while its command runs and, on
+        every way out, turns it back on only if it was on. A missing
+        metafile is reported by `_command`, a missing schedule by `main`,
+        and `oracle`'s write to a full standard output by `main` too."""
+        argv = ["run", "-m", corpus_meta("unary")]
+        if case == "step-limit":
+            argv += ["--max-steps", "1"]
+        elif case == "jammed":
+            argv[2] = write_definition(tmp_path, states="initial q0\nhalting qf\ninternal q1\n",
+                                       rules="q0 1 -> q1 1 R\n", word="1 1\n")
+        elif case == "missing-metafile":
+            argv[2] = str(tmp_path / "no.meta")
+        elif case == "missing-schedule":
+            argv += ["--daemon", "script", "--daemon-script", str(tmp_path / "no.schedule")]
+        elif case == "stdout-error":
+            argv[0] = "oracle"
+            monkeypatch.setattr(sys, "stdout", FullStream())
+        real_command = cli._command
+        paused = []
+
+        def command(args, out):
+            paused.append(not gc.isenabled())
+            if case == "raised":
+                raise RuntimeError("the command failed")
+            return real_command(args, out)
+
+        monkeypatch.setattr(cli, "_command", command)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if code is None:
+                with pytest.raises(RuntimeError, match="the command failed"):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert paused == [True]
 
 
 class TestCliOther:
