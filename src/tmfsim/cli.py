@@ -9,7 +9,6 @@ machine). Exit codes: 0 success/shutdown, 1 definition or usage error,
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import re
 import sys
@@ -27,7 +26,7 @@ from .executor import (
 from .model import ACTIVE, AGGRESSIVE, JamError, ValidationError, read_count
 from .parser import DefinitionError, load_machine, load_script
 from .stages import compile_machine, emit_pi
-from .trace import render_trace, summarize
+from .trace import collector_paused, render_trace, summarize
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -278,28 +277,21 @@ def _sweep(compiled, word, args, choice: str, out) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    # A run holds one trace record per step. Records are tuple subclasses,
-    # which the cyclic collector never untracks, so it would rescan each held
-    # record again and again and free nothing: runs and trace parsing make no
-    # reference cycles (tests/test_executor.py). So the collector is paused
-    # while the command runs and turned back on after, if it was on.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        code = _command(args, sys.stdout)
-        # What is still buffered is written here, where a failure can be
-        # reported, rather than by the interpreter at exit.
-        sys.stdout.flush()
-    except OSError as exc:
-        # `_output` names its own file's errors, so this one is stdout's.
-        error = _stdout_error(exc)
-    except DefinitionError as exc:
-        error = exc
-    else:
-        return code
-    finally:
-        if collecting:
-            gc.enable()
+    # A run holds one trace record per step, which the collector would
+    # rescan again and again and free nothing.
+    with collector_paused():
+        try:
+            code = _command(args, sys.stdout)
+            # What is still buffered is written here, where a failure can be
+            # reported, rather than by the interpreter at exit.
+            sys.stdout.flush()
+        except OSError as exc:
+            # `_output` names its own file's errors, so this one is stdout's.
+            error = _stdout_error(exc)
+        except DefinitionError as exc:
+            error = exc
+        else:
+            return code
     print(f"error: {error}", file=sys.stderr)
     return EXIT_ERROR
 

@@ -47,7 +47,7 @@ def check_symbol_token(token: str) -> str | None:
 
 
 # The one integer syntax of every input: schedules, metafiles, flags, traces.
-COUNT_PATTERN = "0|[1-9][0-9]*"
+COUNT_PATTERN = re.compile("0|[1-9][0-9]*")
 
 
 def read_count(text: str) -> int:
@@ -55,7 +55,7 @@ def read_count(text: str) -> int:
     with no sign, separator, space or leading zero. Other text raises
     ValueError: `int()`'s own message for a non-number, else
     `non-canonical integer '<text>'`."""
-    if re.fullmatch(COUNT_PATTERN, text) is None:
+    if COUNT_PATTERN.fullmatch(text) is None:
         int(text)
         raise ValueError(f"non-canonical integer {text!r}")
     return int(text)

@@ -7,9 +7,11 @@ through text without loss, which is what the replay-determinism checks diff.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import re
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from itertools import islice
 from operator import itemgetter
 from typing import TextIO
@@ -60,21 +62,39 @@ class TraceRecord(tuple):
         return record
 
 
+@contextmanager
+def collector_paused():
+    """Run the body with the cyclic garbage collector off, then turn it
+    back on, on every way out, only if it was on.
+
+    The collector never stops tracking a `TraceRecord`, as it does an exact
+    tuple, so each collection would rescan every record held and, since
+    runs and `parse_trace` make no reference cycles (tests/test_executor.py),
+    free nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 # Integers are written in `COUNT_PATTERN`, the only form parsed back; text
 # values are anything but a tab, with no comma inside the digest list.
 # `_RECORD` captures five texts: the step, the six fields from `daemon` to
 # `action` as one run, the heads, `masked` and the digests. The heads and
 # the digests it takes as plain tab-free runs, since repeated groups cost the
-# regex engine most of its time: `parse_trace` checks each distinct heads
-# text against `_HEADS`, and each distinct digests text for five
+# regex engine most of its time: `parse_trace` reads each distinct heads
+# text as five comma-separated counts, each distinct count part checked by
+# `read_count` once, and checks each distinct digests text for five
 # comma-separated parts, once per call, the first time it sees it. A line in
 # any other layout fails the match or one of these checks, and
 # `_layout_error` says why.
 _TEXT = "[^\t]*"
-_MIDDLE = "\t".join(f"{key}=(?:{COUNT_PATTERN if key == 'stage' else _TEXT})"
-                    for key in _KEYS[1:7])
-_HEADS = re.compile(",".join([f"(?:{COUNT_PATTERN})"] * 5))
-_RECORD = re.compile(f"step=({COUNT_PATTERN})\t({_MIDDLE})\theads=({_TEXT})"
+_COUNT = COUNT_PATTERN.pattern
+_MIDDLE = "\t".join(f"{key}=(?:{_COUNT if key == 'stage' else _TEXT})" for key in _KEYS[1:7])
+_RECORD = re.compile(f"step=({_COUNT})\t({_MIDDLE})\theads=({_TEXT})"
                      f"(\tmasked=1)?(?:\tdigests=({_TEXT}))?")
 
 # `render_trace` writes to a handle this many lines at a time: a few tens of
@@ -118,23 +138,37 @@ def render_trace(records: Iterable[TraceRecord], out: TextIO | None = None) -> s
     return None
 
 
+class _Counts(dict):
+    """The count texts one `parse_trace` call has read, each checked and
+    converted by `read_count` the first time it is looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> int:
+        count = self[text] = read_count(text)
+        return count
+
+
+@collector_paused()
 def parse_trace(text: str) -> list[TraceRecord]:
     """Records from the text of a trace; lines split as `str.splitlines`
     splits them, and blank lines are skipped. A line in any other layout
     than `render_trace` writes, or with an integer longer than `int()`
-    reads, raises `ValueError` naming its line number.
+    reads, raises `ValueError` naming its line number. The cyclic
+    collector is paused while it runs (`collector_paused`).
 
     Records with equal `daemon`..`action` fields, equal heads or equal
     digests share those values: each distinct text is checked and split
-    once per call, before the record of the line it first appears on.
+    once per call, before the record of the line it first appears on, and
+    each distinct heads part is checked and converted once per call.
     """
     records = []
     append = records.append
     middles: dict[str, tuple[str, str, int, str, str, str]] = {}
     head_sets: dict[str, tuple[int, ...]] = {}
     digest_sets: dict[str, tuple[str, ...]] = {}
+    count = _Counts().__getitem__
     match_record = _RECORD.fullmatch
-    match_heads = _HEADS.fullmatch
     for number, line in enumerate(text.splitlines(), start=1):
         match = match_record(line)
         if match is None:
@@ -142,9 +176,10 @@ def parse_trace(text: str) -> list[TraceRecord]:
                 continue
             raise ValueError(f"line {number}: {_layout_error(line)}")
         step, middle, heads, masked, digests = match.groups()
-        # The matches have read the syntax of every integer; `int` only
-        # converts, and fails only past its digit limit, which `_layout_error`
-        # names. A heads or digests text in the wrong layout raises the same.
+        # The match has read the syntax of the step and `stage`; `int` only
+        # converts them, and fails only past its digit limit. `count` reads a
+        # heads part as `read_count` does. `_layout_error` names each failure,
+        # as it does a heads or digests text with other than five parts.
         try:
             step = int(step)
             fields = middles.get(middle)
@@ -156,9 +191,10 @@ def parse_trace(text: str) -> list[TraceRecord]:
                 fields = middles[middle] = (daemon, phase, int(stage), before, after, action)
             shared = head_sets.get(heads)
             if shared is None:
-                if match_heads(heads) is None:
+                shared = tuple(map(count, heads.split(",")))
+                if len(shared) != 5:
                     raise ValueError
-                shared = head_sets[heads] = tuple(map(int, heads.split(",")))
+                head_sets[heads] = shared
             heads = shared
             if digests is not None:
                 shared = digest_sets.get(digests)

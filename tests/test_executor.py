@@ -459,7 +459,8 @@ def test_random_words_match_the_oracle(compiled_corpus, data):
 
 
 def test_runs_sweeps_and_parses_leave_no_reference_cycles(compiled_corpus):
-    """`cli.main` pauses the cyclic collector while its command runs. That
+    """`cli.main` pauses the cyclic collector while its command runs, and
+    `parse_trace` while it reads a trace (`trace.collector_paused`). That
     is free only while the simulator makes no reference cycles: with the
     collector paused, each job below, its results dropped, leaves nothing
     for `gc.collect()` to free."""

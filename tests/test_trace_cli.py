@@ -55,10 +55,11 @@ def field_text(forbidden: str = "") -> st.SearchStrategy[str]:
 # The strict record pattern, which checks the heads and the digests on every
 # line: the reference for which lines are records.
 REFERENCE_TEXT = "[^\t]*"
-REFERENCE_MIDDLE = "\t".join(f"{key}=(?:{COUNT_PATTERN if key == 'stage' else REFERENCE_TEXT})"
+REFERENCE_COUNT = COUNT_PATTERN.pattern
+REFERENCE_MIDDLE = "\t".join(f"{key}=(?:{REFERENCE_COUNT if key == 'stage' else REFERENCE_TEXT})"
                              for key in _KEYS[1:7])
-REFERENCE_HEADS = ",".join([f"(?:{COUNT_PATTERN})"] * 5)
-REFERENCE_RECORD = re.compile(f"step=({COUNT_PATTERN})\t({REFERENCE_MIDDLE})"
+REFERENCE_HEADS = ",".join([f"(?:{REFERENCE_COUNT})"] * 5)
+REFERENCE_RECORD = re.compile(f"step=({REFERENCE_COUNT})\t({REFERENCE_MIDDLE})"
                               f"\theads=({REFERENCE_HEADS})(\tmasked=1)?"
                               "(?:\tdigests=([^\t,]*(?:,[^\t,]*){4}))?")
 
@@ -209,13 +210,20 @@ class TestTraceFormat:
         ("heads=1,1,0,0,1", "heads=1,01,0,0,1"),
         ("heads=1,1,0,0,1", "heads=1,1,0,0"),
         ("heads=1,1,0,0,1", "heads=1,1,0,0,\u0661"),
+        ("heads=1,1,0,0,1", "heads=1,1,0,0,+1"),
+        ("heads=1,1,0,0,1", "heads=1,1,0,0,1_0"),
+        ("heads=1,1,0,0,1", "heads=1,1,0,0,"),
+        ("heads=1,1,0,0,1", "heads=1,1,0,0,1,1"),
+        pytest.param("heads=1,1,0,0,1", "heads=1,1,0,0," + "1" * 4301,
+                     id="heads-part-past-the-digit-limit"),
         ("digests=a,b,c,d,e", "digests=a,b,c,d"),
         ("digests=a,b,c,d,e", "digests=a,b,c,d,e,f")], ids=ascii)
     def test_parse_names_a_bad_text_after_good_lines_with_its_middle(self, good, bad):
         """Each distinct heads and digests text is checked once, when first
-        seen: a bad one after many good lines with the same middle fields
-        is named by its own line number, as is a bad one seen once before
-        and repeated."""
+        seen, and each distinct heads part once: a bad one after many good
+        lines with the same middle fields, its other parts already read, is
+        named by its own line number, as is a bad one seen once before and
+        repeated."""
         line = GOOD_LINE if good.startswith("heads=") else GOOD_LINE + "\tdigests=a,b,c,d,e"
         goods = [line.replace("step=1", f"step={n}") for n in range(1, 51)]
         spoiled = goods[0].replace(good, bad)
@@ -224,6 +232,44 @@ class TestTraceFormat:
         for text, number in (("\n".join([*goods, spoiled, *goods]), 51),
                              ("\n".join([*goods[:3], "", spoiled, spoiled]), 5)):
             assert parse_outcome(text) == reference_parse(text) == f"line {number}{complaint}"
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("third, error", [
+        (GOOD_LINE, None),
+        (GOOD_LINE.replace("heads=1,1,0,0,1", "heads=1,01,0,0,1"),
+         "line 3: non-canonical integer '01' in heads")], ids=["good", "bad"])
+    def test_parse_leaves_the_collector_as_it_found_it(self, collecting, third, error):
+        """`parse_trace` pauses the cyclic collector, so no collection runs
+        while it builds records, and on its return and its `ValueError`
+        alike turns the collector back on only if it was on. A collection
+        the resumed collector runs on the way out is not inside it."""
+        lines = [GOOD_LINE.replace("step=1", f"step={n}") for n in range(1, 3001)]
+        lines[2] = third.replace("step=1", "step=3")
+        text = "\n".join(lines)
+        collections = []
+
+        def inside_parse(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != "parse_trace":
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                collections.append(info["generation"])
+
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        gc.collect()
+        gc.callbacks.append(inside_parse)
+        try:
+            if error is None:
+                assert len(parse_trace(text)) == len(lines)
+            else:
+                with pytest.raises(ValueError, match=f"^{error}$"):
+                    parse_trace(text)
+            assert gc.isenabled() is collecting
+        finally:
+            gc.callbacks.remove(inside_parse)
+            (gc.enable if was else gc.disable)()
+        assert collections == []
 
     @pytest.mark.parametrize("brk", [*LINE_BREAKS, "\r\n"], ids=ascii)
     def test_parse_splits_lines_as_splitlines_does(self, brk):
