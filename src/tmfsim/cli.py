@@ -123,6 +123,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built once per process, at import, like `stages.STAGE_PROGRAMS`: each
+# `parse_args` reads it and returns a new namespace.
+ARG_PARSER = build_arg_parser()
+
+
 def _flag_conflict(args: argparse.Namespace) -> str | None:
     """Why the flags of a `run` do not go together, or None if they do. A
     sweep runs its own single-event schedules untraced, `--trace off`
@@ -276,7 +281,7 @@ def _sweep(compiled, word, args, choice: str, out) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = ARG_PARSER.parse_args(argv)
     # A run holds one trace record per step, which the collector would
     # rescan again and again and free nothing.
     with collector_paused():

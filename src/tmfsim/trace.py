@@ -238,17 +238,19 @@ def tape_digest(cells: list[str]) -> str:
     return hashlib.sha1("\x1f".join(cells).encode("utf-8")).hexdigest()[:10]
 
 
+def _rehash(tape) -> str:
+    digest = tape.digest = tape_digest(tape.cells)
+    return digest
+
+
 def digest_tapes(tapes) -> tuple[str, str, str, str, str]:
     """The digests of a configuration's five tapes, in its tape order,
     rehashing only tapes whose cells a `Tape.write` changed since their
-    digest was last taken (such a write clears the cache)."""
-    digests = []
-    for tape in tapes:
-        digest = tape.digest
-        if digest is None:
-            digest = tape.digest = tape_digest(tape.cells)
-        digests.append(digest)
-    return tuple(digests)  # type: ignore[return-value]
+    digest was last taken (such a write clears the cache to None; a digest
+    is never empty)."""
+    a, b, c, d, e = tapes
+    return (a.digest or _rehash(a), b.digest or _rehash(b), c.digest or _rehash(c),
+            d.digest or _rehash(d), e.digest or _rehash(e))
 
 
 def summarize(records: list[TraceRecord]) -> list[TraceRecord]:

@@ -185,16 +185,21 @@ class TestTape:
         assert tape.cells == ["!", "b", "b", "1"]
 
     def test_write_clears_the_cached_digest(self):
-        tape = Tape("b", ("1", "0"), head=1)
-        tapes = (tape,) * 5
-        tape.write("0")
-        first = digest_tapes(tapes)[0]
-        assert first == tape_digest(tape.cells)
-        tape.move("R")
-        tape.write("1")
-        second = digest_tapes(tapes)[0]
-        assert second != first
-        assert second == tape_digest(tape.cells)
+        """A write to one of five distinct tapes changes only its own slot;
+        the other four stay the same string objects."""
+        for slot in range(5):
+            tapes = tuple(Tape("b", ("0",) * (i + 1), head=1) for i in range(5))
+            tape = tapes[slot]
+            tape.write("1")
+            first = digest_tapes(tapes)
+            assert first == tuple(tape_digest(t.cells) for t in tapes)
+            assert len(set(first)) == 5
+            tape.move("R")
+            tape.write("1")
+            second = digest_tapes(tapes)
+            assert second[slot] != first[slot]
+            assert second[slot] == tape_digest(tape.cells)
+            assert all(second[i] is first[i] for i in range(5) if i != slot)
 
     @pytest.mark.parametrize("head, symbol, kept", [
         pytest.param(1, "1", True, id="unchanged"),

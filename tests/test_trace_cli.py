@@ -642,6 +642,25 @@ class TestCliRun:
         assert code == 1
         assert err.startswith("error: ")
 
+    def test_the_shared_parser_keeps_nothing_between_commands(self, tmp_path, capsys):
+        """`main` parses every command with the one `cli.ARG_PARSER`: neither a
+        run with other flags nor a usage error before it changes a plain run."""
+        plain = ["run", "-m", corpus_meta("unary")]
+        first = run_cli(plain, capsys)
+        trace = tmp_path / "trace.txt"
+        code, _, _ = run_cli([*plain, "--daemon", "random", "--seed", "5", "--p-fault", "0.05",
+                              "--trace", "full", "--digests", "--trace-out", str(trace)], capsys)
+        assert code == 0 and trace.read_text().startswith("step=")
+        assert run_cli(plain, capsys) == first
+        with pytest.raises(SystemExit) as exc:
+            main([*plain, "--seed", "x"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        assert run_cli(plain, capsys) == first
+        assert first[0] == 0 and first[1].startswith("outcome: shutdown\n")
+        fresh = cli.build_arg_parser()
+        assert vars(cli.ARG_PARSER.parse_args(plain)) == vars(fresh.parse_args(plain))
+
     def test_usage_error_exits_1_not_the_step_limit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "-m", corpus_meta("unary"), "--daemon", "bogus"])
