@@ -211,9 +211,10 @@ def _stdout_error(exc: OSError) -> DefinitionError:
 @contextmanager
 def _output(path: str | None, default):
     """Yield the file at `path`, opened for writing before any work that would
-    go into it, or `default` when no path is given. An OSError from opening,
-    writing or closing the file becomes `cannot write <path>: <reason>`."""
-    if not path:
+    go into it, or `default` when no path is given; an empty path is a file
+    name that fails to open. An OSError from opening, writing or closing the
+    file becomes `cannot write <path>: <reason>`."""
+    if path is None:
         yield default
         return
     try:

@@ -34,6 +34,7 @@ from .model import (
     PLUS,
     Tape,
     ValidatedMachine,
+    digest_tapes,
 )
 from .stages import (
     CompiledMachine,
@@ -44,7 +45,7 @@ from .stages import (
     USER,
     stage_step,
 )
-from .trace import TraceRecord, digest_tapes
+from .trace import TraceRecord
 
 DEFAULT_MAX_STEPS = 1_000_000
 
@@ -92,7 +93,7 @@ class Configuration:
     __slots__ = (
         "compiled", "policy", "allow_failure_in_critical", "tapes", "control",
         "ideal_state", "ideal_head", "ideal_halted", "ideal_steps", "replay_debt",
-        "committed", "step_index", "last_digests",
+        "committed", "step_index",
         "faults_injected", "failures_injected", "recoveries", "checkpoints_committed",
     )
 
@@ -139,9 +140,6 @@ def init_configuration(compiled: CompiledMachine, word: tuple[str, ...],
     cfg.replay_debt = 0
     cfg.committed = Snapshot(resume=machine.initial, ideal_steps=0)
     cfg.step_index = 0
-    # The digests of the last record taken with them: records share one
-    # tuple while no tape changes.
-    cfg.last_digests = None
     cfg.faults_injected = 0
     cfg.failures_injected = 0
     cfg.recoveries = 0
@@ -174,16 +172,6 @@ def _enter_recovery(cfg: Configuration) -> StageControl:
     cfg.recoveries += 1
     cfg.replay_debt = cfg.ideal_steps - cfg.committed.ideal_steps
     return cfg.compiled.controls[5, 0, cfg.committed.resume]
-
-
-def _digests(cfg: Configuration) -> tuple[str, str, str, str, str]:
-    """The tape digests for a record: the tuple of the last record taken
-    with them while no tape has changed since, so that records share it."""
-    digests = digest_tapes(cfg.tapes)
-    if digests == cfg.last_digests:
-        return cfg.last_digests
-    cfg.last_digests = digests
-    return digests
 
 
 def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
@@ -236,7 +224,7 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
                                           ("repair", cfg.control.text, "restore")):
             records.append(TraceRecord((cfg.step_index, choice, phase, stage, before,
                                         after_text, action, cfg.heads(), masked,
-                                        _digests(cfg) if with_digests else None)))
+                                        digest_tapes(cfg.tapes) if with_digests else None)))
         cfg.step_index += 1
         return records
     else:
@@ -281,7 +269,7 @@ def step(cfg: Configuration, with_digests: bool = False) -> list[TraceRecord]:
 
     records = [TraceRecord((cfg.step_index, choice, "program", stage, before, after_text,
                             action, cfg.heads(), masked,
-                            _digests(cfg) if with_digests else None))]
+                            digest_tapes(cfg.tapes) if with_digests else None))]
     cfg.step_index += 1
     return records
 

@@ -10,6 +10,7 @@ position-tracking tapes use the fixed alphabet {"!", empty, "+"}.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from collections import Counter
 from typing import NamedTuple
@@ -283,7 +284,7 @@ class Tape:
     scans over uniformly-filled tapes detect exhaustion.
 
     Cells change only through `write()`: `digest` caches the trace digest of
-    `cells` (filled by `trace.digest_tapes`), and a `write()` that changes
+    `cells` (filled by `digest_tapes` below), and a `write()` that changes
     the cells, by a new symbol or by growing them, clears it. Code that edits
     or replaces `cells` directly must reset `digest` to None.
     """
@@ -338,3 +339,22 @@ class Tape:
 
     def __repr__(self) -> str:
         return f"Tape({' '.join(self.cells)} @{self.head})"
+
+
+def tape_digest(cells: list[str]) -> str:
+    return hashlib.sha1("\x1f".join(cells).encode("utf-8")).hexdigest()[:10]
+
+
+def _rehash(tape: Tape) -> str:
+    digest = tape.digest = tape_digest(tape.cells)
+    return digest
+
+
+def digest_tapes(tapes) -> tuple[str, str, str, str, str]:
+    """The digests of a configuration's five tapes, in its tape order,
+    rehashing only tapes whose cells a `Tape.write` changed since their
+    digest was last taken (such a write clears the cache to None; a digest
+    is never empty)."""
+    a, b, c, d, e = tapes
+    return (a.digest or _rehash(a), b.digest or _rehash(b), c.digest or _rehash(c),
+            d.digest or _rehash(d), e.digest or _rehash(e))

@@ -8,7 +8,6 @@ through text without loss, which is what the replay-determinism checks diff.
 from __future__ import annotations
 
 import gc
-import hashlib
 import re
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -106,7 +105,7 @@ def _lines(records: Iterable[TraceRecord]) -> Iterator[str]:
     """Each record's line, newline included: the one place that writes the
     layout `parse_trace` reads. Each distinct run of `daemon`..`action`
     fields is formatted once per call, and a digest tuple once while
-    consecutive records hold it."""
+    consecutive records hold equal ones."""
     middles: dict[tuple, str] = {}
     last_digests = None
     digests_text = ""
@@ -118,7 +117,7 @@ def _lines(records: Iterable[TraceRecord]) -> Iterator[str]:
             middle = middles[key] = (f"\tdaemon={daemon}\tphase={phase}\tstage={stage}"
                                      f"\tbefore={before}\tafter={after}\taction={action}"
                                      "\theads=")
-        if digests is not last_digests:
+        if digests != last_digests:
             last_digests = digests
             digests_text = "" if digests is None else _DIGESTS + ",".join(digests)
         yield (f"step={step}{middle}{heads[0]},{heads[1]},{heads[2]},{heads[3]},{heads[4]}"
@@ -232,25 +231,6 @@ def _layout_error(line: str) -> str:
         if key not in keys:
             return f"missing field {key}"
     return f"fields out of order or repeated: {', '.join(keys)}"
-
-
-def tape_digest(cells: list[str]) -> str:
-    return hashlib.sha1("\x1f".join(cells).encode("utf-8")).hexdigest()[:10]
-
-
-def _rehash(tape) -> str:
-    digest = tape.digest = tape_digest(tape.cells)
-    return digest
-
-
-def digest_tapes(tapes) -> tuple[str, str, str, str, str]:
-    """The digests of a configuration's five tapes, in its tape order,
-    rehashing only tapes whose cells a `Tape.write` changed since their
-    digest was last taken (such a write clears the cache to None; a digest
-    is never empty)."""
-    a, b, c, d, e = tapes
-    return (a.digest or _rehash(a), b.digest or _rehash(b), c.digest or _rehash(c),
-            d.digest or _rehash(d), e.digest or _rehash(e))
 
 
 def summarize(records: list[TraceRecord]) -> list[TraceRecord]:

@@ -1,10 +1,19 @@
 """The verdicts `tools/bench_pairs.py` writes, on hand-made pairs: whether
-each metric stays within its bound, and whether a claimed gain is met; and
-how it names a checkout."""
+each metric stays within its bound, and whether a claimed gain is met; how
+it names a checkout; and that stopping it stops the run it waits for."""
 
+import contextlib
 import importlib.util
+import os
 import pathlib
 import re
+import shutil
+import signal
+import subprocess
+import sys
+import time
+
+import pytest
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -81,3 +90,40 @@ def test_a_plain_copy_is_named_by_its_source_files(tmp_path):
     assert bench_pairs.commit(str(tmp_path)) == name
     (package / "a.py").rename(package / "b.py")
     assert bench_pairs.commit(str(tmp_path)) != name
+
+
+def test_sigterm_stops_the_run_it_waits_for(tmp_path):
+    """A SIGTERM to the tool kills and reaps the `bench/run.py` it is
+    running, here a fake that writes its pid and sleeps."""
+    checkout = tmp_path / "checkout"
+    (checkout / "bench").mkdir(parents=True)
+    shutil.copy(TOOL.parent.parent / "BENCHMARK.json", checkout)
+    pid_file, part = tmp_path / "pid", tmp_path / "pid.part"
+    (checkout / "bench" / "run.py").write_text(
+        "import os, time\n"
+        f"with open({str(part)!r}, 'w') as handle:\n"
+        "    handle.write(str(os.getpid()))\n"
+        f"os.replace({str(part)!r}, {str(pid_file)!r})\n"
+        "time.sleep(120)\n")
+    tool = subprocess.Popen([sys.executable, str(TOOL), str(checkout), str(checkout),
+                             "--workloads", "sweep", "--seeds", "1", "--seconds", "0",
+                             "--pairs", "1", "--out", str(tmp_path / "out.json")],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    pid = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert tool.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        pid = int(pid_file.read_text())
+        tool.send_signal(signal.SIGTERM)
+        tool.wait(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        assert tool.returncode == 128 + signal.SIGTERM
+    finally:
+        tool.kill()
+        tool.wait()
+        if pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)

@@ -11,9 +11,10 @@ from tmfsim.model import (
     ValidatedMachine,
     ValidationError,
     ValidationIssue,
+    digest_tapes,
+    tape_digest,
     validate_machine,
 )
-from tmfsim.trace import digest_tapes, tape_digest
 
 from conftest import tapes_equal_to_terminator
 

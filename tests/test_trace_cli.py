@@ -15,18 +15,16 @@ from tmfsim import cli
 from tmfsim.cli import main
 from tmfsim.daemon import RandomPolicy, ScriptPolicy
 from tmfsim.executor import init_configuration, run, step
-from tmfsim.model import COUNT_PATTERN, JamError
+from tmfsim.model import COUNT_PATTERN, JamError, digest_tapes, tape_digest
 from tmfsim.stages import STAGE_PROGRAMS, Goto, ShutdownControl
 from tmfsim.trace import (
     _BATCH,
     _KEYS,
     TraceRecord,
     _layout_error,
-    digest_tapes,
     parse_trace,
     render_trace,
     summarize,
-    tape_digest,
 )
 
 from conftest import CORPUS, MACHINE_NAMES, corpus_meta, write_definition
@@ -283,26 +281,6 @@ class TestTraceFormat:
                      GOOD_LINE + "\n" + split_field + "\n" + other + "\n"):
             assert parse_outcome(text) == parse_each_line(text)
 
-    def test_records_share_digests_while_no_tape_changes(self, succ):
-        """In a `--digests` run, a record holds the tuple of the record before
-        it exactly when no tape changed between the two."""
-        compiled, word = succ
-        cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, 7))
-        previous = None
-        shared = renewed = 0
-        while not isinstance(cfg.control, ShutdownControl):
-            cells = [list(tape.cells) for tape in cfg.tapes]
-            records = step(cfg, with_digests=True)
-            digests = records[0].digests
-            assert all(record.digests is digests for record in records)
-            if previous is not None:
-                unchanged = cells == [tape.cells for tape in cfg.tapes]
-                assert (digests is previous) == unchanged
-                shared += unchanged
-                renewed += not unchanged
-            previous = digests
-        assert shared and renewed
-
     @pytest.mark.parametrize("p_fault", [None, 0.05, 0.5],
                              ids=["passive", "random", "fault-heavy"])
     @pytest.mark.parametrize("name", MACHINE_NAMES)
@@ -444,8 +422,10 @@ class TestTraceFormat:
     @pytest.mark.parametrize("name", MACHINE_NAMES)
     def test_cached_digests_match_fresh_digests(self, compiled_corpus, name, allow):
         """The digest cache is refreshed by every write: after each step, and
-        in the step's last record, the digests equal a fresh hash of the cells."""
+        in every record of the step, the three of a failure step included,
+        the digests equal a fresh hash of the cells."""
         compiled, word = compiled_corpus[name]
+        failure_steps = 0
         for seed in range(10):
             cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, seed), allow)
             while not isinstance(cfg.control, ShutdownControl) and cfg.step_index < 2_000:
@@ -454,8 +434,10 @@ class TestTraceFormat:
                 except JamError:
                     break
                 fresh = tuple(tape_digest(tape.cells) for tape in cfg.tapes)
-                assert records[-1].digests == fresh
+                assert [record.digests for record in records] == [fresh] * len(records)
                 assert digest_tapes(cfg.tapes) == fresh
+                failure_steps += len(records) == 3
+        assert failure_steps
 
     def test_summary_keeps_the_notable_records(self, unary):
         compiled, word = unary
@@ -804,9 +786,12 @@ class TestCliRun:
         ["run", "-m", corpus_meta("unary"), "--trace", "full", "--trace-out"],
         ["compile", "-m", corpus_meta("unary"), "-o"],
     ], ids=["run-trace-out", "compile-output"])
-    def test_unwritable_output_is_an_error_before_any_work(self, tmp_path, capsys, args):
-        path = tmp_path / "missing" / "out.txt"
-        code, out, err = run_cli([*args, str(path)], capsys)
+    @pytest.mark.parametrize("empty", [False, True], ids=["missing-directory", "empty-path"])
+    def test_unwritable_output_is_an_error_before_any_work(self, tmp_path, capsys, args, empty):
+        """An output path that cannot be opened, an empty one included, fails
+        before anything is written, also on standard output."""
+        path = "" if empty else str(tmp_path / "missing" / "out.txt")
+        code, out, err = run_cli([*args, path], capsys)
         assert code == 1
         assert err == f"error: cannot write {path}: No such file or directory\n"
         assert out == ""
@@ -944,14 +929,14 @@ class TestCliRun:
 
     def test_render_trace_follows_digests_that_change_and_stay(self, succ):
         """Each line holds its own record's digests, whether the record
-        shares its digest tuple with the record before it, holds an equal
-        tuple of its own, holds other digests or holds none; in a run's
-        trace and in records made for each case."""
+        holds the digest tuple of the record before it, an equal tuple of
+        its own, other digests or none; in a run's trace and in records
+        made for each case."""
         compiled, word = succ
         cfg = init_configuration(compiled, word, RandomPolicy(0.05, 0.01, 9))
         _, records = run(cfg, with_digests=True)
         pairs = list(zip(records, records[1:]))
-        assert any(a.digests is b.digests for a, b in pairs)
+        assert any(a.digests == b.digests for a, b in pairs)
         assert any(a.digests != b.digests for a, b in pairs)
         first = tuple(["a"] * 5)
         other = ("a", "b", "c", "d", "e")

@@ -24,7 +24,8 @@ files. With `--claim`, `claimed.claim_met` says whether the
 claim holds: on every seed, the held-out one included, the change wins at
 least nine tenths of the pairs (a tie counts for neither side) and its
 median is better than the parent's by more than the parent's IQR. A run
-that prints no result stops the script with exit status 1.
+that prints no result stops the script with exit status 1. A SIGTERM stops
+it with exit status 143, after it has killed the run it was waiting for.
 
 Standard library only; it sits outside `bench/` so that the benchmark's
 own files stay as they are.
@@ -37,6 +38,7 @@ import hashlib
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -175,7 +177,14 @@ def commit(checkout: str) -> str:
                                                       "--untracked-files=no") else "")
 
 
+def _exit_on_sigterm(signum: int, frame) -> None:
+    """Leave as an exception does, so that `subprocess.run` kills and reaps
+    the `bench/run.py` it is waiting for rather than leaving it running."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> None:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="checkout measured as the parent")
     parser.add_argument("change", help="checkout measured as the change")
